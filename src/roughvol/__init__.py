@@ -34,11 +34,9 @@ from roughvol.gaussian import (
     volterra_cross_covariance,
 )
 from roughvol.local_vol import (
-    LocalVolPoint,
     LowWeightWarning,
     dupire_local_vol_fd,
     local_vol_curvature_fd,
-    local_vol_point,
     mixing_local_vol,
     mixing_local_vol_skew,
     mixing_price_grid,
@@ -55,6 +53,7 @@ from roughvol.models import (
     sabr_local_vol_derivs,
 )
 from roughvol.pricing import (
+    ConditionalLaw,
     ImpliedVolBoundsError,
     SkewEstimate,
     SmileSlice,
@@ -70,62 +69,3 @@ from roughvol.pricing import (
     mixing_put_price,
     mixing_smile_slice,
 )
-
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ImpliedVolBoundsError",
-    "LocalVolPoint",
-    "LowWeightWarning",
-    "PathBatch",
-    "PowerLawFit",
-    "RoughBergomiParams",
-    "SabrParams",
-    "SigmaPath",
-    "SimGrid",
-    "SkewEstimate",
-    "SmileSlice",
-    "TermSeries",
-    "bergomi_curvature_limit",
-    "bergomi_sigma_path",
-    "bergomi_skew_limit",
-    "bs_price",
-    "bs_vega",
-    "curvature_bracket",
-    "dupire_local_vol_fd",
-    "fit_power_law",
-    "implied_curv_from_local",
-    "implied_curvature_fd",
-    "implied_skew_digital",
-    "implied_skew_fd",
-    "implied_vol",
-    "local_curv_from_implied",
-    "local_vol_curvature_fd",
-    "local_vol_point",
-    "log_euler_terminal",
-    "log_strike_convert",
-    "mc_digital",
-    "mixing_call_price",
-    "mixing_local_vol",
-    "mixing_local_vol_skew",
-    "mixing_price_grid",
-    "mixing_put_price",
-    "mixing_smile_slice",
-    "orthogonal_increments",
-    "run_experiment",
-    "run_power_law",
-    "run_sabr_curvature",
-    "run_selftest",
-    "run_skew_ratio",
-    "sabr_curvature_gap",
-    "sabr_implied_vol",
-    "sabr_implied_vol_derivs",
-    "sabr_local_vol",
-    "sabr_local_vol_derivs",
-    "simulate_joint_paths",
-    "skew_ratio_limit",
-    "volterra_autocovariance",
-    "volterra_cross_covariance",
-    "write_outputs",
-]

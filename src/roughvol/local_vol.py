@@ -12,36 +12,34 @@ then a ratio of two weighted averages,
 with V = int sigma^2 du and M = int sigma dW. The weight is the full
 normalised conditional density: with the normalisation dropped the two
 averages reweight differently (sigma_T and V are correlated) and the result
-no longer matches Dupire's formula. The Dupire finite-difference reader over
-a call-price grid is kept as an independent oracle only.
+no longer matches Dupire's formula. The density columns and the maps from
+their means to the level and skew are ``pricing.ConditionalLaw``'s; this
+module adds the weight checks and the delta-method errors. The Dupire
+finite-difference reader over a call-price grid is kept as an independent
+oracle only.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._stats import delta_method
-from .models import RoughBergomiParams, SigmaPath, log_strike_convert
-from .pricing import SkewEstimate, bs_price, _check_slice_inputs, _effective_terms, _validate_strike
+from .models import RoughBergomiParams, SigmaPath, grid_step_index  # grid_step_index: re-export
+from .pricing import ConditionalLaw, SkewEstimate
 
 __all__ = [
-    "LocalVolPoint",
     "LowWeightWarning",
     "mixing_local_vol",
     "mixing_local_vol_skew",
     "local_vol_curvature_fd",
-    "local_vol_point",
     "dupire_local_vol_fd",
     "grid_step_index",
     "mixing_price_grid",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Below this effective sample size of the density weights the ratio estimator
 # is dominated by a handful of paths and the delta-method error is unreliable.
@@ -52,54 +50,14 @@ class LowWeightWarning(UserWarning):
     """Effective sample size of the density weights fell below the floor."""
 
 
-@dataclass(frozen=True)
-class LocalVolPoint:
-    """Local vol level, skew and curvature (log-strike) at one (T, K) node."""
-
-    maturity: float
-    strike: float
-    vol: float
-    skew: float
-    curvature: float
-    vol_se: float
-    skew_se: float
-    curvature_se: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.maturity) and self.maturity > 0):
-            raise ValueError("maturity must be positive and finite")
-        if not (np.isfinite(self.strike) and self.strike > 0):
-            raise ValueError("strike must be positive and finite")
-        if not (np.isfinite(self.vol) and self.vol > 0):
-            raise ValueError("local vol must be positive and finite")
-        for se in (self.vol_se, self.skew_se, self.curvature_se):
-            if not se >= 0:
-                raise ValueError("standard errors must be nonnegative")
-
-
-def _density_features(sig: SigmaPath, p: RoughBergomiParams, k: float) -> np.ndarray:
-    """Per-path columns (sigma_T^2 w, w, sigma_T^2 w d/s, w d/s).
-
-    The first two feed the level ratio; the last two appear when the strike
-    derivative is pushed through the Gaussian kernel.
-    """
-    if abs(p.rho) >= 1.0:
-        raise ValueError("local vol extraction requires |rho| < 1")
-    v = sig.total_var()
-    m = sig.total_sdw()
-    s = np.sqrt((1.0 - p.rho**2) * v)
-    d = (math.log(k / p.s0) + 0.5 * v - p.rho * m) / s
-    w = np.exp(-0.5 * d * d) / (_SQRT_2PI * k * s)
-    sig_t2 = sig.terminal_sigma() ** 2
-    return np.column_stack([sig_t2 * w, w, sig_t2 * w * d / s, w * d / s])
-
-
 def _check_weights(w: np.ndarray, t: float, k: float) -> None:
     total = float(w.sum())
     if not (total > 0 and np.isfinite(total)):
         raise ValueError(f"no density mass at T={t:g}, K={k:g}")
     ess = total * total / float(w @ w)
-    if ess < _ESS_FLOOR:
+    # Equal weights (an ESS equal to the row count, as in the exact rows of a
+    # deterministic-volatility law) lose nothing to reweighting.
+    if ess < min(_ESS_FLOOR, w.size):
         warnings.warn(
             f"effective sample size {ess:.1f} below {_ESS_FLOOR:.0f} "
             f"at T={t:g}, K={k:g}; estimate unreliable",
@@ -114,42 +72,23 @@ def mixing_local_vol(
     """Local volatility at one (T, K) node from simulated paths.
 
     Args:
-        sig: Volatility paths simulated to maturity t.
+        sig: Volatility paths simulated to at least maturity t.
         p: Model parameters consistent with sig.
-        t: Maturity; must equal the grid maturity of sig.
+        t: Maturity; a time of the grid of sig.
         k: Strike.
 
     Returns:
         (local vol, standard error). The error comes from the delta method
-        on the ratio of means; nu = 0 short-circuits to (sigma0, 0).
+        on the ratio of means; nu = 0 gives (sigma0, 0) exactly.
 
     Warns:
         LowWeightWarning: when the effective sample size of the density
             weights drops below the documented floor of 100.
     """
-    _check_slice_inputs(sig, p, t)
-    _validate_strike(k)
-    if p.nu == 0.0:
-        return p.sigma0, 0.0
-    feats = _density_features(sig, p, k)
-    _check_weights(feats[:, 1], t, k)
-    return delta_method(feats[:, :2], lambda m: math.sqrt(m[0] / m[1]))
-
-
-def _skew_from_means(m: np.ndarray, k: float) -> float:
-    """Log-strike local-vol skew from the four feature means at strike k.
-
-    Differentiating the ratio of Gaussian-weighted averages in K, the
-    kernel contributes -(d/s + 1)/K per weight; the parts without d cancel
-    against the level exactly, leaving
-
-        d sigma_loc / dK = (sigma_loc^2 E[w d/s] - E[sigma_T^2 w d/s])
-                           / (2 sigma_loc K E[w]).
-    """
-    sq = m[0] / m[1]
-    level = math.sqrt(sq)
-    dk = (sq * m[3] - m[2]) / (2.0 * level * k * m[1])
-    return log_strike_convert(level, dk, 0.0, k)[0]
+    law = ConditionalLaw(sig, p, t)
+    feats = law.density(k)
+    _check_weights(feats[:, 0], t, k)
+    return delta_method(feats[:, :2], law.local_vol)
 
 
 def mixing_local_vol_skew(
@@ -162,13 +101,10 @@ def mixing_local_vol_skew(
     delta method over the four feature means gives the error. Method tag
     "analytic".
     """
-    _check_slice_inputs(sig, p, t)
-    _validate_strike(k)
-    if p.nu == 0.0:
-        return SkewEstimate(maturity=t, value=0.0, std_error=0.0, method="analytic")
-    feats = _density_features(sig, p, k)
-    _check_weights(feats[:, 1], t, k)
-    value, se = delta_method(feats, lambda m: _skew_from_means(m, k))
+    law = ConditionalLaw(sig, p, t)
+    feats = law.density(k)
+    _check_weights(feats[:, 0], t, k)
+    value, se = delta_method(feats, lambda m: law.local_skew(m, k))
     return SkewEstimate(maturity=t, value=value, std_error=se, method="analytic")
 
 
@@ -182,42 +118,20 @@ def local_vol_curvature_fd(
     the eight feature means and the common noise cancels in the difference.
     Exact when the skew is linear in log-strike.
     """
-    _check_slice_inputs(sig, p, t)
+    law = ConditionalLaw(sig, p, t)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"bump must be positive and finite, got {h!r}")
-    if p.nu == 0.0:
-        return SkewEstimate(maturity=t, value=0.0, std_error=0.0, method="finite-difference")
     kp = p.s0 * math.exp(h)
     km = p.s0 * math.exp(-h)
-    up = _density_features(sig, p, kp)
-    dn = _density_features(sig, p, km)
-    _check_weights(np.minimum(up[:, 1], dn[:, 1]), t, p.s0)
-    feats = np.hstack([up, dn])
+    up = law.density(kp)
+    dn = law.density(km)
+    _check_weights(np.minimum(up[:, 0], dn[:, 0]), t, p.s0)
 
     def g(m: np.ndarray) -> float:
-        return (_skew_from_means(m[:4], kp) - _skew_from_means(m[4:], km)) / (2.0 * h)
+        return (law.local_skew(m[:4], kp) - law.local_skew(m[4:], km)) / (2.0 * h)
 
-    value, se = delta_method(feats, g)
+    value, se = delta_method(np.hstack([up, dn]), g)
     return SkewEstimate(maturity=t, value=value, std_error=se, method="finite-difference")
-
-
-def local_vol_point(
-    sig: SigmaPath, p: RoughBergomiParams, t: float, k: float, h: float
-) -> LocalVolPoint:
-    """Level, skew and curvature at one node, sharing the simulated paths."""
-    vol, vol_se = mixing_local_vol(sig, p, t, k)
-    skew = mixing_local_vol_skew(sig, p, t, k)
-    curv = local_vol_curvature_fd(sig, p, t, h)
-    return LocalVolPoint(
-        maturity=t,
-        strike=k,
-        vol=vol,
-        skew=skew.value,
-        curvature=curv.value,
-        vol_se=vol_se,
-        skew_se=skew.std_error,
-        curvature_se=curv.std_error,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +204,6 @@ def dupire_local_vol_fd(
     return vol, math.sqrt(max(var, 0.0))
 
 
-def grid_step_index(sig: SigmaPath, t: float) -> int:
-    """Number of grid steps reaching maturity t exactly; errors if t is off-grid."""
-    dt = sig.grid.dt
-    n = int(round(t / dt))
-    if not 1 <= n <= sig.grid.n_steps or abs(n * dt - t) > 1e-9 * t:
-        raise ValueError(
-            f"maturity {t!r} does not lie on the simulation grid (dt={dt!r})"
-        )
-    return n
-
-
 def mixing_price_grid(
     sig: SigmaPath,
     p: RoughBergomiParams,
@@ -331,20 +234,9 @@ def mixing_price_grid(
     ks = np.asarray(ks, dtype=float)
     if np.any(np.diff(ts) <= 0) or np.any(np.diff(ks) <= 0):
         raise ValueError("maturities and strikes must be strictly increasing")
-    for k in ks:
-        _validate_strike(float(k))
-    n_nodes = ts.size * ks.size
-    if p.nu == 0.0:
-        prices = np.array([[bs_price(p.s0, k, t, p.sigma0) for k in ks] for t in ts])
-        return prices, np.zeros((n_nodes, n_nodes))
-    per_path = np.empty((sig.n_paths, n_nodes))
-    for i, t in enumerate(ts):
-        sub = sig.truncated(grid_step_index(sig, float(t)))
-        s_eff, s_res, _, _ = _effective_terms(sub, p)
-        cond = s_res / math.sqrt(t)
-        per_path[:, i * ks.size : (i + 1) * ks.size] = bs_price(
-            s_eff[:, None], ks[None, :], float(t), cond[:, None]
-        )
+    laws = [ConditionalLaw(sig, p, float(t)) for t in ts]
+    per_path = np.column_stack([law.call(float(k)) for law in laws for k in ks])
+    n, n_nodes = per_path.shape
     means = per_path.mean(axis=0)
-    cov = np.cov(per_path, rowvar=False, ddof=1).reshape(n_nodes, n_nodes) / sig.n_paths
+    cov = np.cov(per_path, rowvar=False, ddof=1).reshape(n_nodes, n_nodes) / n
     return means.reshape(ts.size, ks.size), cov

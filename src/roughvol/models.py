@@ -20,6 +20,7 @@ __all__ = [
     "SabrParams",
     "SigmaPath",
     "bergomi_sigma_path",
+    "grid_step_index",
     "sabr_local_vol",
     "sabr_local_vol_derivs",
     "sabr_implied_vol",
@@ -29,6 +30,12 @@ __all__ = [
 
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
 _SABR_SERIES_THRESHOLD = 1e-4
+
+
+def _check_finite(params) -> None:
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,7 @@ class RoughBergomiParams:
     hurst: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not (self.s0 > 0):
             raise ValueError(f"s0 must be > 0, got {self.s0}")
         if not (self.sigma0 > 0):
@@ -82,6 +90,7 @@ class SabrParams:
     s0: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not (self.alpha > 0):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not (self.nu >= 0):
@@ -147,6 +156,21 @@ class SigmaPath:
             int_var=self.int_var[:, :n_steps],
             int_sdw=self.int_sdw[:, :n_steps],
         )
+
+
+def grid_step_index(sig: SigmaPath, t: float) -> int:
+    """Number of grid steps reaching maturity t exactly; errors if t is off-grid."""
+    if t > sig.grid.maturity * (1.0 + 1e-9):
+        raise ValueError(
+            f"maturity {t!r} is beyond the simulated grid ({sig.grid.maturity!r})"
+        )
+    dt = sig.grid.dt
+    n = int(round(t / dt))
+    if not 1 <= n <= sig.grid.n_steps or abs(n * dt - t) > 1e-9 * t:
+        raise ValueError(
+            f"maturity {t!r} does not lie on the simulation grid (dt={dt!r})"
+        )
+    return n
 
 
 def bergomi_sigma_path(batch: PathBatch, p: RoughBergomiParams) -> SigmaPath:
@@ -280,14 +304,10 @@ def sabr_implied_vol_derivs(K: float, T: float, p: SabrParams) -> tuple[float, f
     return d1, d2
 
 
-def log_strike_convert(
-    level: float, dK: float, dKK: float, K: float
-) -> tuple[float, float]:
+def log_strike_convert(dK: float, dKK: float, K: float) -> tuple[float, float]:
     """Convert strike derivatives of a vol function to log-strike derivatives.
 
     For g(k) = f(e^k): dg/dk = K f'(K) and d2g/dk2 = K f'(K) + K^2 f''(K).
-    The level is accepted for call-site symmetry; the conversion involves only
-    the derivatives.
     """
     if not (K > 0):
         raise ValueError(f"K must be > 0, got {K}")

@@ -5,8 +5,10 @@ given the volatility path and its Brownian driver, the terminal log-price is
 Gaussian, so calls, digitals and smiles reduce to Black-Scholes evaluations at
 a per-path effective spot and residual volatility. That removes the Euler
 discretisation of the price and cuts the Monte Carlo variance, especially for
-digitals and densities. A plain log-Euler scheme is kept only as an
-independent cross-check oracle.
+digitals and densities. ``ConditionalLaw`` holds that law at one maturity and
+is the one feature layer under every mixing estimator, here and in
+``local_vol``. A plain log-Euler scheme is kept only as an independent
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from ._stats import mean_and_se
+from ._stats import delta_method, mean_and_se
 from .gaussian import PathBatch, orthogonal_increments
-from .models import RoughBergomiParams, SigmaPath
+from .models import RoughBergomiParams, SigmaPath, grid_step_index
 
 __all__ = [
+    "ConditionalLaw",
     "ImpliedVolBoundsError",
     "SkewEstimate",
     "SmileSlice",
@@ -169,8 +172,8 @@ class SkewEstimate:
             raise ValueError("maturity must be positive and finite")
         if not np.isfinite(self.value):
             raise ValueError("value must be finite")
-        if not self.std_error >= 0:
-            raise ValueError("std_error must be nonnegative")
+        if not (self.std_error >= 0 and np.isfinite(self.std_error)):
+            raise ValueError("std_error must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -216,45 +219,125 @@ class SmileSlice:
 
 
 # ---------------------------------------------------------------------------
-# Conditional (mixing) estimators
+# The conditional law: one feature layer under every mixing estimator
 # ---------------------------------------------------------------------------
 
-
-def _check_slice_inputs(sig: SigmaPath, p: RoughBergomiParams, t: float) -> None:
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"maturity must be positive and finite, got {t!r}")
-    if abs(t - sig.grid.maturity) > 1e-9 * sig.grid.maturity:
-        raise ValueError(
-            f"maturity {t!r} is beyond the simulated grid ({sig.grid.maturity!r})"
-        )
-
-
-def _effective_terms(sig: SigmaPath, p: RoughBergomiParams):
-    """Per-path effective spot and residual vol of the conditional log-price.
-
-    Conditioning on the volatility path and its driver leaves
-    log S_T ~ N(log s_eff - s_res^2 / 2, s_res^2) with
-    s_eff = s0 exp(rho M - rho^2 V / 2), s_res^2 = (1 - rho^2) V,
-    V = int sigma^2 du and M = int sigma dW.
-    """
-    v = sig.total_var()
-    m = sig.total_sdw()
-    s_eff = p.s0 * np.exp(p.rho * m - 0.5 * p.rho**2 * v)
-    s_res = np.sqrt((1.0 - p.rho**2) * v)
-    return s_eff, s_res, v, m
-
-
-def _digital_d(sig: SigmaPath, p: RoughBergomiParams, k: float):
-    """Per-path normalised log-strike d with P(S_T > K | path) = ndtr(-d)."""
-    _, s_res, v, m = _effective_terms(sig, p)
-    num = math.log(k / p.s0) + 0.5 * v - p.rho * m
-    limit = np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0))
-    d = np.where(s_res > 0, num / np.where(s_res > 0, s_res, 1.0), limit)
-    return d, s_res
 
 def _validate_strike(k: float) -> None:
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"strike must be positive and finite, got {k!r}")
+
+
+class ConditionalLaw:
+    """Law of the terminal log-price given the volatility path, at one maturity.
+
+    Conditioning on the volatility path and its driver leaves
+    log S_T ~ N(log s_eff - s_res^2 / 2, s_res^2) with
+    s_eff = s0 exp(rho M - rho^2 V / 2), s_res^2 = (1 - rho^2) V,
+    V = int sigma^2 du and M = int sigma dW. Every mixing estimator averages
+    the per-path feature columns ``call``, ``digital`` and ``density`` and
+    reads its value, and its standard error through the delta method, from a
+    map of their means: ``implied_skew``, ``local_vol`` and ``local_skew``.
+
+    The paths are read at maturity t, which must be a time of the grid of
+    sig. With nu = 0 the volatility is deterministic and the law is exact,
+    whatever the paths: it is held as two identical rows of the
+    unconditional lognormal (rho taken as 0, V = sigma0^2 t, M = 0,
+    sigma_T = sigma0), so every mean is exact and every standard error is
+    exactly zero.
+    """
+
+    def __init__(self, sig: SigmaPath, p: RoughBergomiParams, t: float):
+        if not (np.isfinite(t) and t > 0):
+            raise ValueError(f"maturity must be positive and finite, got {t!r}")
+        self.s0, self.t = p.s0, t
+        self.var0 = p.sigma0 * p.sigma0
+        if p.nu == 0.0:
+            self.rho = 0.0
+            sigma_t = np.full(2, p.sigma0)
+            self.v, self.m = sigma_t**2 * t, np.zeros(2)
+            self.vol = sigma_t
+            self.s_res = sigma_t * math.sqrt(t)
+        else:
+            sig = sig.truncated(grid_step_index(sig, t))
+            self.rho = p.rho
+            sigma_t = sig.terminal_sigma()
+            self.v, self.m = sig.total_var(), sig.total_sdw()
+            self.s_res = np.sqrt((1.0 - p.rho**2) * self.v)
+            self.vol = self.s_res / math.sqrt(t)
+        self.s_eff = p.s0 * np.exp(self.rho * self.m - 0.5 * self.rho**2 * self.v)
+        # sigma_T^2 - sigma0^2: centring the local variance on sigma0^2 makes
+        # the local-vol maps exact when sigma_T is constant.
+        self.excess = sigma_t**2 - self.var0
+
+    def call(self, k: float) -> np.ndarray:
+        """Per-path conditional call prices: Black-Scholes at (s_eff, s_res)."""
+        _validate_strike(k)
+        return bs_price(self.s_eff, k, self.t, self.vol)
+
+    def _d(self, k: float) -> np.ndarray:
+        """Per-path normalised log-strike d with P(S_T > K | path) = ndtr(-d)."""
+        _validate_strike(k)
+        num = math.log(k / self.s0) + 0.5 * self.v - self.rho * self.m
+        limit = np.where(num > 0, np.inf, np.where(num < 0, -np.inf, 0.0))
+        return np.where(self.s_res > 0, num / np.where(self.s_res > 0, self.s_res, 1.0), limit)
+
+    def digital(self, k: float) -> np.ndarray:
+        """Per-path conditional probabilities P(S_T > k | path)."""
+        return ndtr(-self._d(k))
+
+    def density(self, k: float) -> np.ndarray:
+        """Per-path columns (w, e w, w d/s, e w d/s) at strike k.
+
+        w = phi(d) / (k s) is the conditional density of S_T at k, s = s_res
+        and e = sigma_T^2 - sigma0^2. The first two feed the local-vol level;
+        the last two appear when the strike derivative is pushed through the
+        Gaussian kernel.
+        """
+        if abs(self.rho) >= 1.0:
+            raise ValueError("local vol extraction requires |rho| < 1")
+        d = self._d(k)
+        w = np.exp(-0.5 * d * d) / (_SQRT_2PI * k * self.s_res)
+        wd = w * d / self.s_res
+        return np.column_stack([w, self.excess * w, wd, self.excess * wd])
+
+    def implied_skew(self, m: np.ndarray, k: float) -> float:
+        """Log-strike implied skew at k from the means of (call(k), digital(k)).
+
+        Differentiating the Black-Scholes identity in strike gives
+        dI/dK = (ndtr(d2) - P(S_T > K)) / vega at the implied vol of the call
+        mean, so the smile slope needs one price and one digital at the same
+        strike; K dI/dK is the slope in log-strike.
+        """
+        iv = implied_vol(m[0], self.s0, k, self.t)
+        _, d2 = bs_d1_d2(self.s0, k, self.t, iv)
+        vega = bs_vega(self.s0, k, self.t, iv)
+        if not vega > 0:
+            raise ValueError("vanishing vega at the strike; skew undefined")
+        return k * (float(ndtr(d2)) - m[1]) / vega
+
+    def local_vol(self, m: np.ndarray) -> float:
+        """Local vol from the means of density(k)[:, :2]:
+        sigma_loc^2 = E[sigma_T^2 w] / E[w] = sigma0^2 + E[e w] / E[w]."""
+        return math.sqrt(self.var0 + m[1] / m[0])
+
+    def local_skew(self, m: np.ndarray, k: float) -> float:
+        """Log-strike local-vol skew at k from the four means of density(k).
+
+        Differentiating the ratio of Gaussian-weighted averages in K, the
+        kernel contributes -(d/s + 1)/K per weight; the parts without d cancel
+        against the level exactly, leaving
+
+            d sigma_loc / dK = (E[e w] E[w d/s] / E[w] - E[e w d/s])
+                               / (2 sigma_loc K E[w]).
+        """
+        dk = (m[1] / m[0] * m[2] - m[3]) / (2.0 * self.local_vol(m) * k * m[0])
+        return k * dk
+
+
+# ---------------------------------------------------------------------------
+# Conditional (mixing) estimators
+# ---------------------------------------------------------------------------
 
 
 def mixing_call_price(
@@ -263,23 +346,17 @@ def mixing_call_price(
     """Conditional Monte Carlo price of a call.
 
     Args:
-        sig: Volatility paths simulated to maturity t.
+        sig: Volatility paths simulated to at least maturity t.
         p: Model parameters consistent with sig.
-        t: Maturity; must equal the grid maturity of sig.
+        t: Maturity; a time of the grid of sig.
         k: Strike.
 
     Returns:
         (price, standard error). With nu = 0 the volatility is deterministic,
-        the conditional estimator is replaced by the exact Black-Scholes
-        value and the standard error is exactly zero.
+        the price is the exact Black-Scholes value and the standard error is
+        exactly zero.
     """
-    _check_slice_inputs(sig, p, t)
-    _validate_strike(k)
-    if p.nu == 0.0:
-        return float(bs_price(p.s0, k, t, p.sigma0)), 0.0
-    s_eff, s_res, _, _ = _effective_terms(sig, p)
-    per_path = bs_price(s_eff, k, t, s_res / math.sqrt(t))
-    return mean_and_se(per_path)
+    return mean_and_se(ConditionalLaw(sig, p, t).call(k))
 
 
 def mixing_put_price(
@@ -287,14 +364,8 @@ def mixing_put_price(
 ) -> tuple[float, float]:
     """Conditional Monte Carlo put price; satisfies parity with the call
     path by path: call_i - put_i = s_eff_i - k."""
-    _check_slice_inputs(sig, p, t)
-    _validate_strike(k)
-    if p.nu == 0.0:
-        call = float(bs_price(p.s0, k, t, p.sigma0))
-        return call - (p.s0 - k), 0.0
-    s_eff, s_res, _, _ = _effective_terms(sig, p)
-    per_path = bs_price(s_eff, k, t, s_res / math.sqrt(t)) - (s_eff - k)
-    return mean_and_se(per_path)
+    law = ConditionalLaw(sig, p, t)
+    return mean_and_se(law.call(k) - (law.s_eff - k))
 
 
 def mc_digital(
@@ -306,13 +377,7 @@ def mc_digital(
     of an indicator, so the estimate is smooth in K. Returns (probability,
     standard error); exact with zero error when nu = 0.
     """
-    _check_slice_inputs(sig, p, t)
-    _validate_strike(k)
-    if p.nu == 0.0:
-        d2 = (math.log(p.s0 / k) - 0.5 * p.sigma0**2 * t) / (p.sigma0 * math.sqrt(t))
-        return float(ndtr(d2)), 0.0
-    d, _ = _digital_d(sig, p, k)
-    return mean_and_se(ndtr(-d))
+    return mean_and_se(ConditionalLaw(sig, p, t).digital(k))
 
 
 def mixing_smile_slice(
@@ -325,25 +390,12 @@ def mixing_smile_slice(
     vegas at the fitted vols (delta method), preserving the common-random-
     number correlation that finite differences rely on.
     """
-    _check_slice_inputs(sig, p, t)
+    law = ConditionalLaw(sig, p, t)
     strikes = np.asarray(strikes, dtype=float)
-    for k in strikes:
-        _validate_strike(float(k))
     if np.any(np.diff(strikes) <= 0):
         raise ValueError("strikes must be strictly increasing")
-    m = strikes.size
-    if p.nu == 0.0:
-        return SmileSlice(
-            maturity=t,
-            strikes=strikes,
-            vols=np.full(m, p.sigma0),
-            std_errors=np.zeros(m),
-            vol_cov=np.zeros((m, m)),
-        )
-    s_eff, s_res, _, _ = _effective_terms(sig, p)
-    sig_cond = s_res / math.sqrt(t)
-    prices = bs_price(s_eff[:, None], strikes[None, :], t, sig_cond[:, None])
-    n = prices.shape[0]
+    prices = np.column_stack([law.call(float(k)) for k in strikes])
+    n, m = prices.shape
     means = prices.mean(axis=0)
     price_cov = np.cov(prices, rowvar=False, ddof=1).reshape(m, m) / n
     vols = np.array([implied_vol(float(means[j]), p.s0, float(strikes[j]), t) for j in range(m)])
@@ -366,24 +418,15 @@ def implied_skew_digital(
 ) -> SkewEstimate:
     """ATM implied skew in log-strike without finite differencing.
 
-    Differentiating the Black-Scholes identity in strike gives
-    dI/dK = (ndtr(d2) - P(S_T > K)) / vega at the fitted vol, so the smile
-    slope needs one price and one digital at the same strike. The value and
-    error are scaled by K to express the slope in log-strike.
+    The value is ``ConditionalLaw.implied_skew`` at the means of the ATM call
+    and digital columns. Its standard error is the joint delta method over
+    both, so the noise of the fitted implied vol is kept.
     """
-    _check_slice_inputs(sig, p, t)
+    law = ConditionalLaw(sig, p, t)
     k = p.s0
-    price, _ = mixing_call_price(sig, p, t, k)
-    iv = implied_vol(price, p.s0, k, t)
-    digital, digital_se = mc_digital(sig, p, t, k)
-    _, d2 = bs_d1_d2(p.s0, k, t, iv)
-    vega = bs_vega(p.s0, k, t, iv)
-    if not vega > 0:
-        raise ValueError("vanishing vega at the money; skew undefined")
-    value = k * (float(ndtr(d2)) - digital) / vega
-    return SkewEstimate(
-        maturity=t, value=value, std_error=k * digital_se / vega, method="digital"
-    )
+    features = np.column_stack([law.call(k), law.digital(k)])
+    value, se = delta_method(features, lambda m: law.implied_skew(m, k))
+    return SkewEstimate(maturity=t, value=value, std_error=se, method="digital")
 
 
 # ---------------------------------------------------------------------------

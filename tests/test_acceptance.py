@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from roughvol._stats import delta_method, weighted_level_fit
 from roughvol.asymptotics import (
@@ -32,22 +31,13 @@ from roughvol.experiments import (
 )
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.local_vol import (
-    _density_features,
-    _skew_from_means,
     dupire_local_vol_fd,
     grid_step_index,
     mixing_local_vol,
     mixing_price_grid,
 )
 from roughvol.models import RoughBergomiParams, bergomi_sigma_path
-from roughvol.pricing import (
-    _digital_d,
-    _effective_terms,
-    bs_d1_d2,
-    bs_price,
-    bs_vega,
-    implied_vol,
-)
+from roughvol.pricing import ConditionalLaw, implied_vol
 
 
 def check(report, number, name, ok, detail):
@@ -185,16 +175,13 @@ def transfer_residual(p, t, h, n_paths, n_steps, seed):
     through a single delta method, so their correlation is kept.
     """
     batch = simulate_joint_paths(SimGrid(t, n_steps), p.hurst, n_paths, seed)
-    sig = bergomi_sigma_path(batch, p)
+    law = ConditionalLaw(bergomi_sigma_path(batch, p), p, t)
     del batch
     s0 = p.s0
     km, kp = s0 * math.exp(-h), s0 * math.exp(h)
-    s_eff, s_res, _, _ = _effective_terms(sig, p)
-    vol_eff = s_res / math.sqrt(t)
-    calls = np.column_stack([bs_price(s_eff, k, t, vol_eff) for k in (km, s0, kp)])
-    d, _ = _digital_d(sig, p, s0)
     features = np.column_stack(
-        [calls, ndtr(-d), _density_features(sig, p, kp), _density_features(sig, p, km)]
+        [law.call(km), law.call(s0), law.call(kp), law.digital(s0)]
+        + [law.density(kp), law.density(km)]
     )
     curv_scale = t ** (1.0 - 2.0 * p.hurst)
     skew_scale = t ** (0.5 - p.hurst)
@@ -204,11 +191,8 @@ def transfer_residual(p, t, h, n_paths, n_steps, seed):
         iv_0 = implied_vol(m[1], s0, s0, t)
         iv_p = implied_vol(m[2], s0, kp, t)
         curv_iv = (iv_p - 2.0 * iv_0 + iv_m) / (h * h)
-        _, d2 = bs_d1_d2(s0, s0, t, iv_0)
-        skew_iv = s0 * (float(ndtr(d2)) - m[3]) / bs_vega(s0, s0, t, iv_0)
-        curv_lv = (_skew_from_means(m[4:8], kp) - _skew_from_means(m[8:12], km)) / (
-            2.0 * h
-        )
+        skew_iv = law.implied_skew(m[1:4:2], s0)
+        curv_lv = (law.local_skew(m[4:8], kp) - law.local_skew(m[8:12], km)) / (2.0 * h)
         c_hat = local_curv_from_implied(
             p.hurst, p.sigma0, (skew_scale * skew_iv) ** 2, curv_scale * curv_iv
         )

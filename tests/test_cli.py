@@ -1,10 +1,15 @@
 """End-to-end tests of the ``roughvol`` command line interface."""
 
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roughvol import __version__
 from roughvol.cli import main
@@ -77,6 +82,21 @@ class TestConfigErrors:
         config = write_config(tmp_path, {"experiment": "power-law"})
         assert main(["skew-ratio", "--config", config]) == 2
         assert "config is for experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, fragment",
+        [
+            ('{"model": {"nu": Infinity}}', "nu must be finite"),
+            ('{"model": {"sigma0": NaN}}', "sigma0 must be finite"),
+            ('{"model": {"rho": -1}}', "rho must lie in (-1, 1)"),
+        ],
+    )
+    def test_bad_model_values_exit_2(self, tmp_path, capsys, payload, fragment):
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        assert main(["skew-ratio", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "skew-ratio.csv").exists()  # nothing computed
 
 
 class TestRuns:
@@ -166,6 +186,72 @@ class TestRuns:
         assert "flag:" in captured.err
         assert "numerical failure" in captured.err
         assert (out / "skew-ratio.csv").exists()  # outputs still land for inspection
+
+    @pytest.mark.filterwarnings("ignore")  # two paths: low-weight and overflow warnings
+    def test_failed_estimators_exit_3_with_outputs(self, tmp_path, capsys):
+        # two paths put Monte Carlo prices outside the no-arbitrage bounds
+        out = tmp_path / "out"
+        code = main(["power-law", "--paths", "2", "--steps", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "estimator failed" in captured.err
+        assert (out / "power-law.csv").exists()
+        assert (out / "power-law.meta.json").exists()
+
+
+_VALID_MODELS = {
+    "skew-ratio": dict(
+        s0=st.floats(50.0, 200.0),
+        sigma0=st.floats(0.05, 1.0),
+        nu=st.floats(0.0, 3.0),
+        rho=st.floats(-0.99, 0.99),
+        hurst=st.floats(0.05, 0.95),
+    ),
+    "sabr-curvature": dict(
+        s0=st.floats(50.0, 200.0),
+        alpha=st.floats(0.05, 1.0),
+        nu=st.floats(0.0, 3.0),
+        rho=st.floats(-0.99, 0.99),
+    ),
+}
+_VALID_MODELS["power-law"] = _VALID_MODELS["skew-ratio"]
+
+
+@st.composite
+def tiny_runs(draw):
+    """A tiny run; half of them carry one model value validation must refuse."""
+    experiment = draw(st.sampled_from(sorted(_VALID_MODELS)))
+    model = draw(st.fixed_dictionaries(_VALID_MODELS[experiment]))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(model)))
+        edges = [-1.0, 1.0] if key == "rho" else []
+        model[key] = draw(st.sampled_from([math.inf, -math.inf, math.nan, *edges]))
+    maturities = draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=3, unique=True))
+    config = {
+        "maturities": sorted(maturities),
+        "n_paths": draw(st.integers(2, 64)),
+        "n_steps": draw(st.integers(1, 8)),
+        "model": model,
+    }
+    return experiment, config
+
+
+class TestExitContract:
+    @pytest.mark.filterwarnings("ignore")  # tiny runs warn by design
+    @given(run=tiny_runs())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tiny_configs_exit_0_2_or_3(self, run):
+        experiment, config = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            code = main([experiment, "--config", str(path), "--out", tmp])
+            assert code in (0, 2, 3)
+            model = config["model"]
+            refused = not all(map(math.isfinite, model.values())) or abs(model["rho"]) == 1.0
+            assert (code == 2) == refused
+            if code == 3:
+                assert (Path(tmp) / f"{experiment}.csv").exists()
 
 
 class TestSelftestCommand:

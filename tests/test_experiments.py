@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import roughvol.experiments as experiments
 from roughvol.asymptotics import TermSeries, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
@@ -19,6 +20,7 @@ from roughvol.experiments import (
     run_skew_ratio,
     write_outputs,
 )
+from roughvol.pricing import ImpliedVolBoundsError
 
 TINY = {"n_paths": 1500, "n_steps": 8}
 
@@ -153,6 +155,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=fragment if key != "seed" else "seed"):
             ExperimentConfig.from_mapping("skew-ratio", {key: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_model_values_rejected(self, value):
+        with pytest.raises(ConfigError, match="nu must be finite"):
+            ExperimentConfig.from_mapping("power-law", {"model": {"nu": value}})
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            ExperimentConfig.from_mapping("sabr-curvature", {"model": {"alpha": value}})
+
+    @pytest.mark.parametrize("experiment", ["skew-ratio", "power-law"])
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_monte_carlo_experiments_reject_unit_correlation(self, experiment, rho):
+        with pytest.raises(ConfigError, match=r"rho must lie in \(-1, 1\)"):
+            ExperimentConfig.from_mapping(experiment, {"model": {"rho": rho}})
+
     def test_seed_upper_bound_accepted(self):
         config = ExperimentConfig.from_mapping("skew-ratio", {"seed": 2**64 - 1})
         assert config.seed == 2**64 - 1
@@ -243,8 +258,48 @@ class TestRunSkewRatio:
         config = tiny_config(maturities=[0.1], model={"nu": 0.0}, n_paths=500)
         result = run_skew_ratio(config)
         assert math.isnan(result.table["ratio"][0])
-        assert any("ratio undefined" in flag for flag in result.flags)
+        assert result.flags == ("T=0.1: local skew is zero, ratio undefined",)
         assert result.table["skew_lv"][0] == 0.0
+
+
+class TestEstimatorFailures:
+    def test_failure_at_one_maturity_is_a_nan_row_and_a_flag(self, monkeypatch):
+        real = experiments.implied_skew_digital
+
+        def failing(sig, p, t):
+            if t == 0.1:
+                raise ImpliedVolBoundsError("price 0.0 is not below the spot")
+            return real(sig, p, t)
+
+        monkeypatch.setattr(experiments, "implied_skew_digital", failing)
+        result = run_skew_ratio(tiny_config())
+        assert np.array_equal(result.table["T"], [0.05, 0.1, 0.2])
+        for name in result.columns[1:]:
+            assert np.isnan(result.table[name][1])
+            assert np.all(np.isfinite(result.table[name][[0, 2]]))
+        assert result.flags == ("T=0.1: estimator failed: price 0.0 is not below the spot",)
+
+    def test_power_law_without_a_fit_is_flagged(self, tmp_path):
+        # three maturities cannot carry a four-point power-law fit
+        config = tiny_config("power-law", out_dir=str(tmp_path))
+        result = run_power_law(config)
+        assert result.fits == {}
+        assert [f.split(":")[0] for f in result.flags] == ["curv_iv", "curv_lv"]
+        assert all("no power-law fit" in f for f in result.flags)
+        assert np.all(np.isfinite(result.table["curv_lv"]))
+        assert [p.name for p in write_outputs(result)] == [
+            "power-law.csv", "power-law.svg", "power-law.meta.json",
+        ]
+
+    def test_unplottable_run_still_writes_csv_and_meta(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise ValueError("no density mass at T=0.05, K=100")
+
+        monkeypatch.setattr(experiments, "local_vol_curvature_fd", failing)
+        config = tiny_config("power-law", maturities=[0.05], out_dir=str(tmp_path))
+        result = run_power_law(config)
+        assert np.isnan(result.table["curv_iv"][0])
+        assert [p.name for p in write_outputs(result)] == ["power-law.csv", "power-law.meta.json"]
 
 
 class TestRunSabrCurvature:

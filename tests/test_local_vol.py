@@ -10,19 +10,16 @@ from roughvol._stats import delta_method
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import RoughBergomiParams, bergomi_sigma_path
 from roughvol.local_vol import (
-    LocalVolPoint,
     LowWeightWarning,
-    _density_features,
-    _skew_from_means,
     dupire_local_vol_fd,
     grid_step_index,
     local_vol_curvature_fd,
-    local_vol_point,
     mixing_local_vol,
     mixing_local_vol_skew,
     mixing_price_grid,
 )
 from roughvol.pricing import (
+    ConditionalLaw,
     bs_price,
     implied_curvature_fd,
     implied_skew_fd,
@@ -84,11 +81,9 @@ class TestMixingLocalVol:
     def test_weight_normalization(self):
         # each path's conditional density integrates to one over strikes, so
         # the strike-quadrature of E[w] must return 1 up to truncation
-        sig = _simulated(BERGOMI)
+        law = ConditionalLaw(_simulated(BERGOMI), BERGOMI, 0.25)
         ks = 100.0 * np.exp(np.linspace(-2.0, 2.0, 161))
-        means = np.array(
-            [_density_features(sig, BERGOMI, float(k))[:, 1].mean() for k in ks]
-        )
+        means = np.array([law.density(float(k))[:, 0].mean() for k in ks])
         integral = np.trapezoid(means, ks)
         assert abs(integral - 1.0) < 0.01
 
@@ -111,32 +106,27 @@ class TestMixingLocalVolSkew:
         # centered FD of the level at K +/- 0.01*S0 on the same paths
         sig = _simulated(BERGOMI)
         an = mixing_local_vol_skew(sig, BERGOMI, 0.25, 100.0)
-        feats = np.hstack(
-            [
-                _density_features(sig, BERGOMI, 101.0)[:, :2],
-                _density_features(sig, BERGOMI, 99.0)[:, :2],
-            ]
-        )
+        law = ConditionalLaw(sig, BERGOMI, 0.25)
+        feats = np.hstack([law.density(101.0)[:, :2], law.density(99.0)[:, :2]])
         fd, fd_se = delta_method(
-            feats,
-            lambda m: 100.0 * (math.sqrt(m[0] / m[1]) - math.sqrt(m[2] / m[3])) / 2.0,
+            feats, lambda m: 100.0 * (law.local_vol(m[:2]) - law.local_vol(m[2:])) / 2.0
         )
         assert abs(an.value - fd) < 3.0 * math.hypot(an.std_error, fd_se)
 
     def test_is_the_small_bump_limit_of_fd(self):
         # on fixed paths the FD-analytic gap is pure truncation: it must
         # scale as h^2, pinning the analytic formula as the h -> 0 limit
-        sig = _simulated(BERGOMI)
-        f0 = _density_features(sig, BERGOMI, 100.0)
+        law = ConditionalLaw(_simulated(BERGOMI), BERGOMI, 0.25)
+        f0 = law.density(100.0)
         gaps = []
         for hk in (1.0, 0.5):
-            fp = _density_features(sig, BERGOMI, 100.0 + hk)[:, :2]
-            fm = _density_features(sig, BERGOMI, 100.0 - hk)[:, :2]
+            fp = law.density(100.0 + hk)[:, :2]
+            fm = law.density(100.0 - hk)[:, :2]
             feats = np.hstack([f0, fp, fm])
 
             def g(m, hk=hk):
-                fd = 100.0 * (math.sqrt(m[4] / m[5]) - math.sqrt(m[6] / m[7])) / (2 * hk)
-                return _skew_from_means(m[:4], 100.0) - fd
+                fd = 100.0 * (law.local_vol(m[4:6]) - law.local_vol(m[6:8])) / (2 * hk)
+                return law.local_skew(m[:4], 100.0) - fd
 
             gap, _ = delta_method(feats, g)
             gaps.append(gap)
@@ -170,13 +160,11 @@ class TestLocalVolCurvatureFd:
     def test_exact_on_linear_skew_stub(self, monkeypatch):
         # with the skew reader stubbed to a linear function of log-strike the
         # centered difference must return its slope exactly
-        import roughvol.local_vol as lv
-
         monkeypatch.setattr(
-            lv, "_skew_from_means", lambda m, k: -0.2 + 1.5 * math.log(k / 100.0)
+            ConditionalLaw, "local_skew", lambda self, m, k: -0.2 + 1.5 * math.log(k / 100.0)
         )
         sig = _simulated(BERGOMI, paths=500, seed=4)
-        est = lv.local_vol_curvature_fd(sig, BERGOMI, 0.25, 0.05)
+        est = local_vol_curvature_fd(sig, BERGOMI, 0.25, 0.05)
         assert est.value == pytest.approx(1.5, abs=1e-10)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
@@ -192,17 +180,6 @@ class TestLocalVolCurvatureFd:
         assert c_loc.value - c_imp.value > 3.0 * math.hypot(
             c_loc.std_error, c_imp.std_error
         )
-
-    def test_point_assembly(self):
-        sig = _simulated(BERGOMI)
-        pt = local_vol_point(sig, BERGOMI, 0.25, 100.0, 0.05)
-        assert pt.vol > 0 and pt.skew < 0
-        assert pt.vol_se > 0 and pt.skew_se > 0 and pt.curvature_se > 0
-        assert pt.curvature == local_vol_curvature_fd(sig, BERGOMI, 0.25, 0.05).value
-
-    def test_point_validation(self):
-        with pytest.raises(ValueError, match="local vol"):
-            LocalVolPoint(0.25, 100.0, -0.3, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestDupire:

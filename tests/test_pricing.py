@@ -11,6 +11,7 @@ from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import RoughBergomiParams, SabrParams, bergomi_sigma_path
 from roughvol.models import log_strike_convert, sabr_implied_vol, sabr_implied_vol_derivs
 from roughvol.pricing import (
+    ConditionalLaw,
     ImpliedVolBoundsError,
     SkewEstimate,
     SmileSlice,
@@ -329,9 +330,8 @@ class TestSmileSlice:
     def test_fd_converges_on_smooth_smile(self):
         sabr = SabrParams(alpha=0.3, nu=0.6, rho=-0.6, s0=100.0)
         t = 0.5
-        level = sabr_implied_vol(100.0, t, sabr)
         dk, dkk = sabr_implied_vol_derivs(100.0, t, sabr)
-        skew_exact, _ = log_strike_convert(level, dk, dkk, 100.0)
+        skew_exact, _ = log_strike_convert(dk, dkk, 100.0)
         errs = []
         for h in (0.02, 0.01):
             ks = 100.0 * np.exp(np.array([-h, 0.0, h]))
@@ -366,8 +366,32 @@ class TestSmileSlice:
         assert abs(dig.value - fd.value) < 4.0 * math.hypot(dig.std_error, fd.std_error) + 5e-4
         assert dig.value < 0  # negative skew for rho < 0
 
+    @pytest.mark.parametrize("t", [0.004, 0.05, 1.0])
+    def test_digital_skew_error_is_joint_over_call_and_digital(self, t):
+        # the skew K (N(d2(I)) - D) / vega(I) reads the implied vol I of the
+        # call mean, so its error is the delta method over (call, digital);
+        # here with the analytic gradient: dN(d2)/dI = -phi(d2) sqrt(t) / 2 at
+        # the money and dvega/dI = vega d1 d2 / I
+        sig, _ = _simulated(BERGOMI, t=t, steps=32)
+        est = implied_skew_digital(sig, BERGOMI, t)
+        law = ConditionalLaw(sig, BERGOMI, t)
+        feats = np.column_stack([law.call(100.0), law.digital(100.0)])
+        call, digital = feats.mean(axis=0)
+        cov = np.cov(feats, rowvar=False) / feats.shape[0]
+        iv = implied_vol(call, 100.0, 100.0, t)
+        vega = bs_vega(100.0, 100.0, t, iv)
+        d1, d2 = (float(d) for d in bs_d1_d2(100.0, 100.0, t, iv))
+        phi2 = math.exp(-0.5 * d2 * d2) / math.sqrt(2.0 * math.pi)
+        ds_di = 100.0 * (-phi2 * math.sqrt(t) / 2.0 - (ndtr(d2) - digital) * d1 * d2 / iv) / vega
+        grad = np.array([ds_di / vega, -100.0 / vega])
+        assert est.std_error == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-9)
+        # the digital-only error misses the noise of the fitted implied vol
+        assert est.std_error > 100.0 * math.sqrt(cov[1, 1]) / vega
+
     def test_skew_estimate_validation(self):
         with pytest.raises(ValueError):
             SkewEstimate(maturity=-1.0, value=0.1, std_error=0.0, method="digital")
         with pytest.raises(ValueError):
             SkewEstimate(maturity=0.25, value=math.inf, std_error=0.0, method="digital")
+        with pytest.raises(ValueError):
+            SkewEstimate(maturity=0.25, value=0.1, std_error=math.inf, method="digital")

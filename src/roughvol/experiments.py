@@ -344,6 +344,7 @@ class ExperimentResult:
     flags: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
     wall_time: float = 0.0
+    factorization: Dict[str, float] = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
@@ -367,6 +368,11 @@ class ExperimentResult:
             "flags": list(self.flags),
             "notes": list(self.notes),
         }
+        if self.factorization:
+            meta["factorization"] = {
+                "method": ",".join(self.factorization),
+                "jitter": max(self.factorization.values()),
+            }
         if self.fits:
             meta["fits"] = {
                 name: {
@@ -382,10 +388,32 @@ class ExperimentResult:
         return meta
 
 
-def _simulate(p: RoughBergomiParams, config: ExperimentConfig, index: int, t: float) -> SigmaPath:
+def _simulate(
+    p: RoughBergomiParams,
+    config: ExperimentConfig,
+    index: int,
+    t: float,
+    factorization: Dict[str, float],
+) -> SigmaPath:
+    """Vol paths at ladder entry ``index``.
+
+    Records the factorization method of the draw in ``factorization``
+    (method -> largest jitter over the ladder so far).
+    """
     grid = SimGrid(t, config.n_steps)
     batch = simulate_joint_paths(grid, p.hurst, config.n_paths, config.maturity_seed(index))
+    method = batch.factorization
+    factorization[method] = max(factorization.get(method, 0.0), batch.jitter)
     return bergomi_sigma_path(batch, p)
+
+
+def _factorization_flags(factorization: Mapping[str, float]) -> List[str]:
+    if "eigh-clip" not in factorization:
+        return []
+    return [
+        "the conditional W^H covariance is not positive definite; its "
+        "factorization clipped eigenvalues (eigh-clip), so the path law is approximate"
+    ]
 
 
 def _ladder(
@@ -460,9 +488,10 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
     start = time.perf_counter()
     p = config.bergomi_params()
     strikes = p.s0 * np.exp(np.array([-config.skew_bump, 0.0, config.skew_bump]))
+    factorization: Dict[str, float] = {}
 
     def row(i: int, t: float):
-        sig = _simulate(p, config, i, t)
+        sig = _simulate(p, config, i, t, factorization)
         sk_dig = implied_skew_digital(sig, p, t)
         sk_fd = implied_skew_fd(mixing_smile_slice(sig, p, t, strikes))
         sk_loc = mixing_local_vol_skew(sig, p, t, p.s0)
@@ -489,6 +518,7 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
         return values, flags
 
     cols, flags = _ladder(config, _SKEW_COLUMNS, row)
+    flags += _factorization_flags(factorization)
     series = (
         TermSeries(cols["T"], cols["ratio"], cols["se_ratio"], "implied/local skew ratio"),
         TermSeries(cols["T"], cols["skew_iv"], cols["se_iv"], "implied ATM skew"),
@@ -506,6 +536,7 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
         ref_lines=((f"limit {limit:.4g}", limit),),
         flags=tuple(flags),
         wall_time=time.perf_counter() - start,
+        factorization=factorization,
     )
 
 
@@ -530,8 +561,15 @@ def run_sabr_curvature(config: ExperimentConfig) -> ExperimentResult:
         return (curv_lv, 0.0, curv_iv, 0.0, curv_lv / 3.0 - curv_iv, 0.0, ratio, 0.0), flags
 
     cols, flags = _ladder(config, _SABR_COLUMNS, row)
-    gap_limit = sabr_curvature_gap(q)
-    refs: List[Tuple[str, float]] = [(f"gap limit {gap_limit:.4g}", gap_limit)]
+    refs: List[Tuple[str, float]] = []
+    try:
+        gap_limit = sabr_curvature_gap(q)
+    except ArithmeticError:
+        gap_limit = math.nan
+    if math.isfinite(gap_limit):
+        refs.append((f"gap limit {gap_limit:.4g}", gap_limit))
+    else:
+        flags.append("gap limit rho^2 nu^2 / (6 alpha) overflows; reference line dropped")
     if q.rho == 0.0:
         refs.append(("ratio limit 1/3", 1.0 / 3.0))
     series = (
@@ -593,9 +631,10 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     """
     start = time.perf_counter()
     p = config.bergomi_params()
+    factorization: Dict[str, float] = {}
 
     def row(i: int, t: float):
-        sig = _simulate(p, config, i, t)
+        sig = _simulate(p, config, i, t, factorization)
         h = _fd_bump(config, t)
         strikes = p.s0 * np.exp(np.array([-h, 0.0, h]))
         curv_iv = implied_curvature_fd(mixing_smile_slice(sig, p, t, strikes))
@@ -603,6 +642,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         return (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error), []
 
     cols, flags = _ladder(config, _POWER_COLUMNS, row)
+    flags += _factorization_flags(factorization)
     notes: List[str] = []
     fits: Dict[str, PowerLawFit] = {}
     for name, label in (("curv_iv", "implied ATM curvature"), ("curv_lv", "local ATM curvature")):
@@ -632,6 +672,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         flags=tuple(flags),
         notes=tuple(notes),
         wall_time=time.perf_counter() - start,
+        factorization=factorization,
     )
 
 

@@ -3,7 +3,9 @@
 The Volterra process is W^H_t = int_0^t (t-s)^{H-1/2} dW_s for a Hurst index
 H in (0, 1). On a uniform grid the pair (W, W^H) is jointly Gaussian with
 covariances available in closed form, so paths can be drawn exactly (no
-discretization bias) from one dense factorization per grid.
+discretization bias) from a dense factorization. W^H is self-similar,
+W^H_{cT} = c^H W^H_T in law, so one factorization of the unit grid serves
+every maturity with the same step count and Hurst index.
 """
 
 from __future__ import annotations
@@ -168,12 +170,17 @@ def _cross_with_increments(times: np.ndarray, H: float) -> np.ndarray:
 
 
 def _autocov_matrix(times: np.ndarray, H: float) -> np.ndarray:
+    # hyp2f1 dominates the cost: evaluate it on the strict upper triangle
+    # (lo = times[i] < hi = times[j]) and mirror it
     a = H + 0.5
-    lo = np.minimum(times[:, None], times[None, :])
-    hi = np.maximum(times[:, None], times[None, :])
-    cov = lo**a * hi ** (H - 0.5) / a * special.hyp2f1(0.5 - H, 1.0, a + 1.0, lo / hi)
+    i, j = np.triu_indices(len(times), 1)
+    lo, hi = times[i], times[j]
+    upper = lo**a * hi ** (H - 0.5) / a * special.hyp2f1(0.5 - H, 1.0, a + 1.0, lo / hi)
+    cov = np.empty((len(times), len(times)))
+    cov[i, j] = upper
+    cov[j, i] = upper
     np.fill_diagonal(cov, times ** (2.0 * H) / (2.0 * H))
-    return 0.5 * (cov + cov.T)
+    return cov
 
 
 def _factor_conditional(cond: np.ndarray, scale: float) -> tuple[np.ndarray, str, float]:
@@ -197,26 +204,30 @@ def _factor_conditional(cond: np.ndarray, scale: float) -> tuple[np.ndarray, str
     return eigvecs * np.sqrt(eigvals), "eigh-clip", 0.0
 
 
-# Factorization cache keyed by the exact grid/Hurst floats; experiments hit
-# the same grid once per path chunk.
-_FACTOR_CACHE: dict[tuple[float, int, float], tuple[np.ndarray, np.ndarray, str, float]] = {}
+# Unit-grid factors keyed by (n_steps, H). With t = T u the cross
+# covariance scales by T^(H+1/2), Cov(W^H) by T^(2H) and dt by T, so
+# coef = A/dt scales by T^(H-1/2) and the conditional covariance by T^(2H):
+# its factor by T^H, its jitter by T^(2H). The degenerate and Cholesky tests
+# of _factor_conditional are scale-free, so the method holds at every T.
+_FACTOR_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, str, float]] = {}
 
 
 def _grid_factors(grid: SimGrid, H: float) -> tuple[np.ndarray, np.ndarray, str, float]:
-    key = (grid.maturity, grid.n_steps, H)
+    key = (grid.n_steps, H)
     hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    times = grid.times
-    A = _cross_with_increments(times, H)
-    cov_hh = _autocov_matrix(times, H)
-    coef = A / grid.dt
-    cond = cov_hh - coef @ A.T
-    L, method, jitter = _factor_conditional(cond, float(np.max(np.diag(cov_hh))))
-    if len(_FACTOR_CACHE) > 256:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[key] = (coef, L, method, jitter)
-    return coef, L, method, jitter
+    if hit is None:
+        unit = SimGrid(1.0, grid.n_steps)
+        A = _cross_with_increments(unit.times, H)
+        cov_hh = _autocov_matrix(unit.times, H)
+        coef = A / unit.dt
+        cond = cov_hh - coef @ A.T
+        L, method, jitter = _factor_conditional(cond, float(np.max(np.diag(cov_hh))))
+        if len(_FACTOR_CACHE) > 256:
+            _FACTOR_CACHE.clear()
+        hit = _FACTOR_CACHE[key] = (coef, L, method, jitter)
+    coef, L, method, jitter = hit
+    T = grid.maturity
+    return coef * T ** (H - 0.5), L * T**H, method, jitter * T ** (2.0 * H)
 
 
 def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -228,12 +239,13 @@ def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, ...]) -> n
 def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> PathBatch:
     """Draw (dW, W^H) with the exact joint Gaussian law on the grid.
 
-    One dense factorization of the 2n x 2n covariance of (dW, W^H) per call,
-    in block form: dW ~ iid N(0, dt) is its own factor, and
+    The 2n x 2n covariance of (dW, W^H) is factored in block form:
+    dW ~ iid N(0, dt) is its own factor, and
     W^H = (A/dt) @ dW + L_c @ Z with A the cross-covariance against the
     increments and L_c L_c' = Cov(W^H) - A A'/dt the conditional covariance.
     At H = 1/2 the conditional covariance vanishes and W^H is the cumulative
-    sum of dW exactly.
+    sum of dW exactly. The factors are those of the unit grid, factored once
+    per (n_steps, H) and cached, scaled to the maturity by self-similarity.
 
     Parameters
     ----------

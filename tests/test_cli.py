@@ -198,6 +198,17 @@ class TestRuns:
         assert (out / "power-law.csv").exists()
         assert (out / "power-law.meta.json").exists()
 
+    def test_overflowing_sabr_gap_exits_3_with_outputs(self, tmp_path, capsys):
+        # validation accepts any finite nu, but nu^2 overflows in the gap limit
+        config = write_config(tmp_path, {"model": {"nu": 1e200}})
+        out = tmp_path / "out"
+        code = main(["sabr-curvature", "--config", config, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "gap limit" in captured.err
+        assert (out / "sabr-curvature.csv").exists()
+        assert (out / "sabr-curvature.meta.json").exists()
+
 
 _VALID_MODELS = {
     "skew-ratio": dict(

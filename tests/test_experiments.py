@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import roughvol.experiments as experiments
+import roughvol.gaussian as gaussian
 from roughvol.asymptotics import TermSeries, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
@@ -300,6 +301,60 @@ class TestEstimatorFailures:
         result = run_power_law(config)
         assert np.isnan(result.table["curv_iv"][0])
         assert [p.name for p in write_outputs(result)] == ["power-law.csv", "power-law.meta.json"]
+
+
+class TestFactorization:
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        """Methods returned by _factor_conditional, starting from an empty cache."""
+        monkeypatch.setattr(gaussian, "_FACTOR_CACHE", {})
+        calls = []
+        real = gaussian._factor_conditional
+
+        def recording(cond, scale):
+            out = real(cond, scale)
+            calls.append(out[1])
+            return out
+
+        monkeypatch.setattr(gaussian, "_factor_conditional", recording)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore")  # tiny runs warn by design
+    def test_one_factorization_for_the_whole_ladder(self, factor_calls):
+        config = ExperimentConfig.from_mapping(
+            "power-law",
+            {"maturities": {"min": 0.004, "max": 1.0, "count": 8}, "n_paths": 500, "n_steps": 16},
+        )
+        run_power_law(config)
+        assert factor_calls == ["cholesky"]
+
+    def test_method_and_jitter_in_meta(self, factor_calls, tmp_path):
+        result = run_skew_ratio(tiny_config(out_dir=str(tmp_path)))
+        assert result.flags == ()
+        write_outputs(result)
+        meta = json.loads((tmp_path / "skew-ratio.meta.json").read_text())
+        assert meta["factorization"] == {"method": "cholesky", "jitter": 0.0}
+        assert factor_calls == ["cholesky"]
+
+    def test_degenerate_method_at_half(self, factor_calls):
+        result = run_skew_ratio(tiny_config(model={"hurst": 0.5}))
+        assert result.meta_dict()["factorization"] == {"method": "degenerate", "jitter": 0.0}
+
+    def test_eigh_clip_is_flagged(self, factor_calls, monkeypatch):
+        real = gaussian._factor_conditional
+
+        def clipped(cond, scale):
+            L, _, _ = real(cond, scale)
+            return L, "eigh-clip", 0.0
+
+        monkeypatch.setattr(gaussian, "_factor_conditional", clipped)
+        result = run_power_law(tiny_config("power-law"))
+        assert result.meta_dict()["factorization"] == {"method": "eigh-clip", "jitter": 0.0}
+        assert any("eigh-clip" in f for f in result.flags)
+
+    def test_sabr_run_has_no_factorization(self):
+        config = ExperimentConfig.from_mapping("sabr-curvature", {"maturities": [0.01, 0.1]})
+        assert "factorization" not in run_sabr_curvature(config).meta_dict()
 
 
 class TestRunSabrCurvature:

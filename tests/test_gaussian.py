@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from roughvol import gaussian
 from roughvol.gaussian import (
     SimGrid,
     orthogonal_increments,
@@ -204,6 +206,75 @@ class TestSimulateJointPaths:
         b = simulate_joint_paths(g, 0.3, 4, seed=0)
         with pytest.raises(ValueError):
             b.wh[0, 0] = 1.0
+
+
+class TestUnitGridFactors:
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("H", [0.02, 0.2, 0.5, 0.98])
+    @pytest.mark.parametrize("T", [0.004, 0.05, 1.0, 3.0])
+    def test_scaled_factors_match_direct_build(self, T, H, n):
+        grid = SimGrid(T, n)
+        A = gaussian._cross_with_increments(grid.times, H)
+        cov_hh = gaussian._autocov_matrix(grid.times, H)
+        coef = A / grid.dt
+        L, method, jitter = gaussian._factor_conditional(
+            cov_hh - coef @ A.T, float(np.max(np.diag(cov_hh)))
+        )
+        s_coef, s_L, s_method, s_jitter = gaussian._grid_factors(grid, H)
+        assert s_method == method
+        assert method == ("degenerate" if H == 0.5 else "cholesky")
+        assert s_jitter == pytest.approx(jitter, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(s_coef, coef, rtol=1e-12, atol=0.0)
+        # L is compared through the covariance it draws, in units of
+        # Var(W^H_T): at H = 0.98 the conditional covariance is so badly
+        # conditioned that round-off of the direct build alone moves single
+        # entries of L by ~1e-10 of max |L|.
+        var_scale = T ** (2 * H) / (2 * H)
+        assert np.max(np.abs(s_L @ s_L.T - L @ L.T)) <= 1e-12 * var_scale
+
+    @pytest.mark.parametrize("H", [0.02, 0.2, 0.5, 0.98])
+    def test_autocov_triangle_is_bitwise_the_full_formula(self, H):
+        times = SimGrid(0.37, 200).times
+        a = H + 0.5
+        lo = np.minimum(times[:, None], times[None, :])
+        hi = np.maximum(times[:, None], times[None, :])
+        full = lo**a * hi ** (H - 0.5) / a * special.hyp2f1(0.5 - H, 1.0, a + 1.0, lo / hi)
+        np.fill_diagonal(full, times ** (2.0 * H) / (2.0 * H))
+        full = 0.5 * (full + full.T)
+        assert np.array_equal(gaussian._autocov_matrix(times, H), full)
+
+    def test_one_factorization_per_steps_and_hurst(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_FACTOR_CACHE", {})
+        calls = []
+        real = gaussian._factor_conditional
+
+        def counting(cond, scale):
+            calls.append(cond.shape)
+            return real(cond, scale)
+
+        monkeypatch.setattr(gaussian, "_factor_conditional", counting)
+        for T in (0.01, 0.3, 2.0):
+            simulate_joint_paths(SimGrid(T, 32), 0.3, 2, seed=0)
+        assert calls == [(32, 32)]
+        simulate_joint_paths(SimGrid(0.3, 16), 0.3, 2, seed=0)
+        simulate_joint_paths(SimGrid(0.3, 32), 0.4, 2, seed=0)
+        assert calls == [(32, 32), (16, 16), (32, 32)]
+
+    @pytest.mark.parametrize("H", [0.02, 0.98])
+    def test_extreme_hurst_at_the_step_cap(self, H):
+        # Volterra moments of W^H_T at the 2048-step cap, 4096 paths (one block)
+        grid = SimGrid(1.0, 2048)
+        batch = simulate_joint_paths(grid, H, 4096, seed=2048)
+        assert batch.factorization == "cholesky"
+        assert batch.jitter == 0.0
+        wh_t = batch.wh[:, -1]
+        w_t = batch.dW.sum(axis=1)
+        for sample, target in (
+            (wh_t**2, grid.maturity ** (2 * H) / (2 * H)),
+            (wh_t * w_t, volterra_cross_covariance(grid.maturity, grid.maturity, H)),
+        ):
+            z = (sample.mean() - target) / (sample.std(ddof=1) / math.sqrt(sample.size))
+            assert abs(z) < 4.0
 
 
 class TestOrthogonalIncrements:

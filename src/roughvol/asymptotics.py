@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .models import RoughBergomiParams, SabrParams
 
@@ -189,6 +188,8 @@ def local_curv_from_implied(
 
 
 def _quad(func, lo: float, hi: float, epsrel: float) -> float:
+    from scipy import integrate
+
     value, err = integrate.quad(func, lo, hi, epsrel=epsrel, limit=200)
     if not np.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
         raise ArithmeticError(
@@ -238,6 +239,8 @@ def _curvature_terms(p: RoughBergomiParams) -> Tuple[float, float, float]:
         / (h + 0.5) ** 2
         * _quad(lambda x: (x * (1.0 - x)) ** (h + 0.5), 0.0, 1.0, 1e-10)
     )
+    from scipy import integrate
+
     piece_b_val, piece_b_err = integrate.dblquad(
         lambda u, y: (u - y) ** (2.0 * h) / (h + 0.5),
         0.0,

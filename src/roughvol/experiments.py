@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 import platform
+import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -330,6 +332,12 @@ def _check_window(spec, errors: List[str]) -> Tuple[float, float]:
     return (lo, hi)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (10^6 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak * (1 if sys.platform == "darwin" else 1024) / 1e6
+
+
 @dataclass
 class ExperimentResult:
     """Tabular output of one run plus everything needed to write files."""
@@ -365,6 +373,7 @@ class ExperimentResult:
                 "roughvol": __version__,
             },
             "wall_time_seconds": round(self.wall_time, 3),
+            "peak_rss_mb": round(_peak_rss_mb(), 1),
             "flags": list(self.flags),
             "notes": list(self.notes),
         }

@@ -6,15 +6,23 @@ covariances available in closed form, so paths can be drawn exactly (no
 discretization bias) from a dense factorization. W^H is self-similar,
 W^H_{cT} = c^H W^H_T in law, so one factorization of the unit grid serves
 every maturity with the same step count and Hurst index.
+
+Normals are drawn in fixed blocks of 4096 paths, one Philox stream per block,
+and up to four blocks at a time are filled in parallel by a short-lived
+thread pool; the W^H products then run block by block on the caller's
+thread, written straight into the output arrays. Every value depends only on
+(seed, block), never on the number of worker threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "SimGrid",
@@ -31,6 +39,18 @@ __all__ = [
 _BLOCK = 4096
 _LEG_JOINT = 0
 _LEG_ORTHOGONAL = 1
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Threads that fill normal blocks (and sigma-path row chunks in models); a
+# group of this many blocks is drawn per _block_normals call.
+_WORKERS = min(4, _usable_cores())
 
 # Conditional covariances below this fraction of the W^H variance scale are
 # treated as exactly degenerate (W^H measurable from the grid increments,
@@ -143,6 +163,8 @@ def volterra_autocovariance_quad(t: float, s: float, H: float) -> float:
         # u = lo * (1 - v^{1/a}); (lo - u)^{H-1/2} * du = (lo^a / a) dv
         return (gap + lo * v ** (1.0 / a)) ** (H - 0.5)
 
+    from scipy import integrate
+
     val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
     return lo**a / a * val
 
@@ -230,10 +252,46 @@ def _grid_factors(grid: SimGrid, H: float) -> tuple[np.ndarray, np.ndarray, str,
     return coef * T ** (H - 0.5), L * T**H, method, jitter * T ** (2.0 * H)
 
 
-def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, ...]) -> np.ndarray:
-    key = np.array([np.uint64(seed), np.uint64((block << 2) | leg)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(shape)
+def _fan_out(job, n_jobs: int) -> None:
+    """Run job(0), ..., job(n_jobs - 1) on a pool of up to _WORKERS threads.
+
+    The jobs must write disjoint memory; with one job or one worker they run
+    inline on the caller's thread. A job's exception is re-raised here.
+    """
+    workers = min(_WORKERS, n_jobs)
+    if workers <= 1:
+        for i in range(n_jobs):
+            job(i)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(job, range(n_jobs)):
+            pass
+
+
+def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> np.ndarray:
+    """Standard normals of shape[0] // 4096 consecutive blocks from ``block`` on.
+
+    Block b fills rows of its own Philox stream keyed (seed, (b << 2) | leg),
+    so its values do not depend on how blocks are grouped or on the thread
+    that draws them.
+    """
+    out = np.empty(shape)
+
+    def fill(i: int) -> None:
+        b = block + i
+        key = np.array([np.uint64(seed), np.uint64((b << 2) | leg)], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        gen.standard_normal(out=out[i * _BLOCK : (i + 1) * _BLOCK])
+
+    _fan_out(fill, shape[0] // _BLOCK)
+    return out
+
+
+def _groups(n_paths: int):
+    """(first block, block count) of each group of up to _WORKERS blocks."""
+    n_blocks = -(-n_paths // _BLOCK)
+    for first in range(0, n_blocks, _WORKERS):
+        yield first, min(_WORKERS, n_blocks - first)
 
 
 def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> PathBatch:
@@ -244,8 +302,9 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
     W^H = (A/dt) @ dW + L_c @ Z with A the cross-covariance against the
     increments and L_c L_c' = Cov(W^H) - A A'/dt the conditional covariance.
     At H = 1/2 the conditional covariance vanishes and W^H is the cumulative
-    sum of dW exactly. The factors are those of the unit grid, factored once
-    per (n_steps, H) and cached, scaled to the maturity by self-similarity.
+    sum of dW exactly (the L_c product is skipped). The factors are those of
+    the unit grid, factored once per (n_steps, H) and cached, scaled to the
+    maturity by self-similarity.
 
     Parameters
     ----------
@@ -280,14 +339,21 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
     sqrt_dt = math.sqrt(grid.dt)
     dW = np.empty((n_paths, n))
     wh = np.empty((n_paths, n))
-    n_blocks = -(-n_paths // _BLOCK)
-    for b in range(n_blocks):
-        start = b * _BLOCK
-        take = min(_BLOCK, n_paths - start)
-        z = _block_normals(seed, b, _LEG_JOINT, (_BLOCK, 2 * n))[:take]
-        dw_blk = sqrt_dt * z[:, :n]
-        dW[start : start + take] = dw_blk
-        wh[start : start + take] = dw_blk @ coef.T + z[:, n:] @ L.T
+    # the L_c @ Z product of one block; L_c is all zeros when degenerate
+    noise = None if method == "degenerate" else np.empty((min(_BLOCK, n_paths), n))
+    for first, count in _groups(n_paths):
+        z = _block_normals(seed, first, _LEG_JOINT, (count * _BLOCK, 2 * n))
+        for i in range(count):
+            start = (first + i) * _BLOCK
+            take = min(_BLOCK, n_paths - start)
+            zi = z[i * _BLOCK : i * _BLOCK + take]
+            dw_blk = dW[start : start + take]
+            wh_blk = wh[start : start + take]
+            np.multiply(zi[:, :n], sqrt_dt, out=dw_blk)
+            np.matmul(dw_blk, coef.T, out=wh_blk)
+            if noise is not None:
+                np.matmul(zi[:, n:], L.T, out=noise[:take])
+                np.add(wh_blk, noise[:take], out=wh_blk)
 
     dW.flags.writeable = False
     wh.flags.writeable = False
@@ -315,11 +381,10 @@ def orthogonal_increments(grid: SimGrid, n_paths: int, seed: int) -> np.ndarray:
     n = grid.n_steps
     sqrt_dt = math.sqrt(grid.dt)
     out = np.empty((n_paths, n))
-    n_blocks = -(-n_paths // _BLOCK)
-    for b in range(n_blocks):
-        start = b * _BLOCK
-        take = min(_BLOCK, n_paths - start)
-        z = _block_normals(seed, b, _LEG_ORTHOGONAL, (_BLOCK, n))[:take]
-        out[start : start + take] = sqrt_dt * z
+    for first, count in _groups(n_paths):
+        z = _block_normals(seed, first, _LEG_ORTHOGONAL, (count * _BLOCK, n))
+        start = first * _BLOCK
+        take = min(count * _BLOCK, n_paths - start)
+        np.multiply(z[:take], sqrt_dt, out=out[start : start + take])
     out.flags.writeable = False
     return out

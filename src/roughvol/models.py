@@ -1,7 +1,9 @@
 """Volatility models: rough Bergomi path construction and lognormal SABR analytics.
 
 Rough Bergomi builds sigma paths on simulated Volterra noise together with the
-running integrals every conditional (mixing) estimator needs. SABR (beta = 1)
+running integrals every conditional (mixing) estimator needs. The three path
+arrays are filled in place, chunk of rows by chunk of rows on the path
+layer's thread pool, with no full-size temporary. SABR (beta = 1)
 is fully analytic here: local-vol equivalent, implied vol, and their strike
 derivatives, plus the strike <-> log-strike derivative conversion.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from roughvol import gaussian
 from roughvol.gaussian import PathBatch, SimGrid
 
 __all__ = [
@@ -30,6 +33,9 @@ __all__ = [
 
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
 _SABR_SERIES_THRESHOLD = 1e-4
+
+# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool.
+_CHUNK_ROWS = 1024
 
 
 def _check_finite(params) -> None:
@@ -189,17 +195,32 @@ def bergomi_sigma_path(batch: PathBatch, p: RoughBergomiParams) -> SigmaPath:
             f"batch simulated with H={batch.hurst} but params have hurst={p.hurst}"
         )
     grid = batch.grid
-    times = grid.times
+    n_paths, n = batch.wh.shape
     h2 = 2.0 * p.hurst
-    sigma = p.sigma0 * np.exp(
-        p.nu * math.sqrt(h2) * batch.wh - 0.5 * p.nu**2 * times**h2
-    )
-    # left-point values over each cell: sigma(0) = sigma0 on the first cell
-    left = np.empty_like(sigma)
-    left[:, 0] = p.sigma0
-    left[:, 1:] = sigma[:, :-1]
-    int_var = np.cumsum(left**2 * grid.dt, axis=1)
-    int_sdw = np.cumsum(left * batch.dW, axis=1)
+    scale = p.nu * math.sqrt(h2)
+    drift = 0.5 * p.nu**2 * grid.times**h2
+    first_var = p.sigma0 * p.sigma0 * grid.dt
+    sigma = np.empty((n_paths, n))
+    int_var = np.empty((n_paths, n))
+    int_sdw = np.empty((n_paths, n))
+
+    def fill(c: int) -> None:
+        rows = slice(c * _CHUNK_ROWS, (c + 1) * _CHUNK_ROWS)
+        s, v, m, dW = sigma[rows], int_var[rows], int_sdw[rows], batch.dW[rows]
+        np.multiply(batch.wh[rows], scale, out=s)
+        np.subtract(s, drift, out=s)
+        np.exp(s, out=s)
+        np.multiply(s, p.sigma0, out=s)
+        # left-point values over each cell: sigma(0) = sigma0 on the first cell
+        v[:, 0] = first_var
+        np.square(s[:, :-1], out=v[:, 1:])
+        np.multiply(v[:, 1:], grid.dt, out=v[:, 1:])
+        np.cumsum(v, axis=1, out=v)
+        np.multiply(dW[:, 0], p.sigma0, out=m[:, 0])
+        np.multiply(s[:, :-1], dW[:, 1:], out=m[:, 1:])
+        np.cumsum(m, axis=1, out=m)
+
+    gaussian._fan_out(fill, -(-n_paths // _CHUNK_ROWS))
     return SigmaPath(grid=grid, sigma=sigma, int_var=int_var, int_sdw=int_sdw)
 
 
@@ -218,6 +239,10 @@ def sabr_local_vol(K: float, p: SabrParams) -> float:
     return p.alpha * math.sqrt(1.0 + 2.0 * p.rho * p.nu * y + p.nu**2 * y**2)
 
 
+def _sabr_overflow(name: str, p: SabrParams) -> OverflowError:
+    return OverflowError(f"{name} overflowed at nu={p.nu!r}, alpha={p.alpha!r}")
+
+
 def sabr_local_vol_derivs(K: float, p: SabrParams) -> tuple[float, float]:
     """(d sigma/dK, d^2 sigma/dK^2) of the SABR local-vol equivalent.
 
@@ -228,12 +253,15 @@ def sabr_local_vol_derivs(K: float, p: SabrParams) -> tuple[float, float]:
     if not (K > 0):
         raise ValueError(f"K must be > 0, got {K}")
     a, nu, rho = p.alpha, p.nu, p.rho
-    y = _sabr_y(K, p)
-    yp = 1.0 / (a * K)
-    ypp = -1.0 / (a * K**2)
-    sig = sabr_local_vol(K, p)
-    d1 = a**2 * yp * (rho * nu + nu**2 * y) / sig
-    d2 = (a**2 * ypp * (rho * nu + nu**2 * y) + a**2 * nu**2 * yp**2 - d1**2) / sig
+    try:
+        y = _sabr_y(K, p)
+        yp = 1.0 / (a * K)
+        ypp = -1.0 / (a * K**2)
+        sig = sabr_local_vol(K, p)
+        d1 = a**2 * yp * (rho * nu + nu**2 * y) / sig
+        d2 = (a**2 * ypp * (rho * nu + nu**2 * y) + a**2 * nu**2 * yp**2 - d1**2) / sig
+    except OverflowError as exc:
+        raise _sabr_overflow("sabr_local_vol_derivs", p) from exc
     return d1, d2
 
 
@@ -296,11 +324,14 @@ def sabr_implied_vol_derivs(K: float, T: float, p: SabrParams) -> tuple[float, f
     """
     if not (K > 0 and T > 0):
         raise ValueError(f"K and T must be > 0, got K={K}, T={T}")
-    z = p.nu / p.alpha * math.log(p.s0 / K)
-    fp, fpp = _sabr_f_derivs(z, p.rho)
-    m = _sabr_m(T, p)
-    d1 = -p.nu * fp * m / K
-    d2 = (p.nu * fp / K**2 + p.nu**2 * fpp / (p.alpha * K**2)) * m
+    try:
+        z = p.nu / p.alpha * math.log(p.s0 / K)
+        fp, fpp = _sabr_f_derivs(z, p.rho)
+        m = _sabr_m(T, p)
+        d1 = -p.nu * fp * m / K
+        d2 = (p.nu * fp / K**2 + p.nu**2 * fpp / (p.alpha * K**2)) * m
+    except OverflowError as exc:
+        raise _sabr_overflow("sabr_implied_vol_derivs", p) from exc
     return d1, d2
 
 

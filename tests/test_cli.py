@@ -206,6 +206,11 @@ class TestRuns:
         captured = capsys.readouterr()
         assert code == 3
         assert "gap limit" in captured.err
+        # every maturity's flag names the overflowing formula and parameters
+        assert captured.err.count(
+            "estimator failed: sabr_local_vol_derivs overflowed at nu=1e+200, alpha=0.3"
+        ) == 24
+        assert "Numerical result out of range" not in captured.err
         assert (out / "sabr-curvature.csv").exists()
         assert (out / "sabr-curvature.meta.json").exists()
 

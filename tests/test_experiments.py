@@ -477,6 +477,14 @@ class TestWriteOutputs:
         assert meta["flags"] == []
         assert meta["wall_time_seconds"] > 0
 
+    @pytest.mark.parametrize("experiment", ["skew-ratio", "sabr-curvature", "power-law"])
+    def test_meta_records_peak_rss(self, experiment, tmp_path):
+        config = tiny_config(experiment, out_dir=str(tmp_path), format="csv")
+        meta_path = write_outputs(run_experiment(config))[-1]
+        peak = json.loads(meta_path.read_text())["peak_rss_mb"]
+        # this process holds at least numpy and scipy: well over 10 MB
+        assert isinstance(peak, float) and 10.0 < peak < 1e6
+
     def test_csv_only_format(self, tmp_path):
         config = tiny_config(
             maturities=[0.1], n_paths=500, out_dir=str(tmp_path), format="csv"

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -275,6 +276,78 @@ class TestUnitGridFactors:
         ):
             z = (sample.mean() - target) / (sample.std(ddof=1) / math.sqrt(sample.size))
             assert abs(z) < 4.0
+
+
+def _serial_joint_paths(grid, H, n_paths, seed):
+    """Oracle: one block at a time, each from a fresh Philox draw of its own
+    shape, and W^H as the sum of the two block products (also at H = 1/2)."""
+    n = grid.n_steps
+    coef, L, _, _ = gaussian._grid_factors(grid, H)
+    dW, wh = np.empty((n_paths, n)), np.empty((n_paths, n))
+    for b in range(-(-n_paths // gaussian._BLOCK)):
+        start = b * gaussian._BLOCK
+        take = min(gaussian._BLOCK, n_paths - start)
+        key = np.array([seed, b << 2], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (gaussian._BLOCK, 2 * n)
+        )[:take]
+        dw_blk = math.sqrt(grid.dt) * z[:, :n]
+        dW[start : start + take] = dw_blk
+        wh[start : start + take] = dw_blk @ coef.T + z[:, n:] @ L.T
+    return dW, wh
+
+
+class TestParallelDraws:
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    @pytest.mark.parametrize("n_paths", [4097, 3 * 4096 + 1])
+    def test_matches_serial_block_oracle_bitwise(self, H, n_paths):
+        g = SimGrid(0.3, 8)
+        batch = simulate_joint_paths(g, H, n_paths, seed=17)
+        dW, wh = _serial_joint_paths(g, H, n_paths, 17)
+        assert batch.factorization == ("degenerate" if H == 0.5 else "cholesky")
+        assert dW.tobytes() == batch.dW.tobytes()
+        assert wh.tobytes() == batch.wh.tobytes()
+
+    # path counts on both sides of the 4096-path block and group boundaries
+    @pytest.mark.parametrize("n_paths", [1, 4095, 4097, 3 * 4096 + 1])
+    def test_orthogonal_leg_independent_of_worker_count(self, n_paths, monkeypatch):
+        g = SimGrid(0.3, 8)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            runs.append(orthogonal_increments(g, n_paths, seed=5).tobytes())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_traced_draws_stay_on_the_calling_thread(self, workers, monkeypatch):
+        # wrapped the way the benchmark tracer wraps it: a module attribute
+        monkeypatch.setattr(gaussian, "_WORKERS", workers)
+        original = gaussian._block_normals
+        threads, drawn = set(), []
+
+        def counting(seed, block, leg, shape):
+            threads.add(threading.get_ident())
+            drawn.append(math.prod(shape))
+            return original(seed, block, leg, shape)
+
+        monkeypatch.setattr(gaussian, "_block_normals", counting)
+        n_paths, n = 3 * 4096 + 1, 8
+        simulate_joint_paths(SimGrid(0.3, n), 0.2, n_paths, seed=2)
+        assert threads == {threading.get_ident()}
+        assert sum(drawn) == 4 * 4096 * 2 * n
+        # one call per group of up to `workers` blocks
+        assert len(drawn) == -(-4 // workers)
+
+    def test_a_failing_block_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_WORKERS", 2)
+
+        class Broken:
+            def __init__(self, key):
+                raise RuntimeError("broken stream")
+
+        monkeypatch.setattr(np.random, "Philox", Broken)
+        with pytest.raises(RuntimeError, match="broken stream"):
+            orthogonal_increments(SimGrid(1.0, 4), 2 * 4096, seed=1)
 
 
 class TestOrthogonalIncrements:

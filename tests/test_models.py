@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughvol import gaussian, models
 from roughvol.gaussian import PathBatch, SimGrid, simulate_joint_paths
 from roughvol.models import (
     RoughBergomiParams,
@@ -145,6 +146,45 @@ class TestBergomiSigmaPath:
             sig.truncated(9)
 
 
+def _vectorized_sigma_path(batch, p):
+    """Oracle: sigma and the left-point integrals as whole-array expressions."""
+    grid = batch.grid
+    h2 = 2.0 * p.hurst
+    sigma = p.sigma0 * np.exp(
+        p.nu * math.sqrt(h2) * batch.wh - 0.5 * p.nu**2 * grid.times**h2
+    )
+    left = np.empty_like(sigma)
+    left[:, 0] = p.sigma0
+    left[:, 1:] = sigma[:, :-1]
+    int_var = np.cumsum(left**2 * grid.dt, axis=1)
+    int_sdw = np.cumsum(left * batch.dW, axis=1)
+    return sigma, int_var, int_sdw
+
+
+class TestChunkedSigmaPath:
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    @pytest.mark.parametrize("n_paths", [1, 2 * models._CHUNK_ROWS + 37])
+    def test_matches_vectorized_formula_bitwise(self, H, n_paths):
+        p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=H)
+        batch = simulate_joint_paths(SimGrid(0.7, 24), H, n_paths, seed=9)
+        sig = bergomi_sigma_path(batch, p)
+        got = (sig.sigma, sig.int_var, sig.int_sdw)
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in _vectorized_sigma_path(batch, p)
+        ]
+
+    @pytest.mark.parametrize("n_paths", [1, 4095, 4097, 3 * 4096 + 1])
+    def test_path_arrays_independent_of_worker_count(self, n_paths, monkeypatch):
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            batch = simulate_joint_paths(SimGrid(0.3, 8), 0.2, n_paths, seed=6)
+            sig = bergomi_sigma_path(batch, BERGOMI)
+            arrays = (batch.dW, batch.wh, sig.sigma, sig.int_var, sig.int_sdw)
+            runs.append([a.tobytes() for a in arrays])
+        assert runs[0] == runs[1]
+
+
 class TestSabrLocalVol:
     def test_atm_is_alpha(self):
         assert sabr_local_vol(100.0, SABR) == pytest.approx(0.3, rel=1e-14)
@@ -239,6 +279,15 @@ class TestSabrImpliedVol:
         dn = sabr_implied_vol(K - h, T, SABR)
         assert d1 == pytest.approx((up - dn) / (2 * h), rel=1e-6)
         assert d2 == pytest.approx((up - 2 * mid + dn) / h**2, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "derivs", [sabr_local_vol_derivs, lambda K, p: sabr_implied_vol_derivs(K, 0.1, p)]
+)
+def test_sabr_derivs_overflow_names_the_parameters(derivs):
+    huge = SabrParams(alpha=0.3, nu=1e200, rho=-0.6, s0=100.0)
+    with pytest.raises(OverflowError, match=r"_vol_derivs overflowed at nu=1e\+200, alpha=0.3"):
+        derivs(100.0, huge)
 
 
 class TestLogStrikeConvert:

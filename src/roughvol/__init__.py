@@ -64,7 +64,6 @@ from roughvol.pricing import (
     implied_skew_fd,
     implied_vol,
     log_euler_terminal,
-    mc_digital,
     mixing_call_price,
     mixing_put_price,
     mixing_smile_slice,

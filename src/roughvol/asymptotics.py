@@ -174,16 +174,18 @@ def local_curv_from_implied(
     """Local curvature limit from the implied skew and curvature limits.
 
     Inverts ``implied_curv_from_local`` after replacing the squared local
-    skew limit by 4x the squared implied skew limit, so only quotable
-    quantities enter:
+    skew limit by (H + 3/2)^2 = 1/skew_ratio_limit(H)^2 times the squared
+    implied skew limit, so only quotable quantities enter:
 
     lim T^(1-2H) d2 sigma_loc/dx2 = 2(1+H) * [ lim T^(1-2H) d2I/dk2
-        - 4 C(H)/sigma0 * lim T^(1-2H) (dI/dk)^2 ].
+        - (H + 3/2)^2 C(H)/sigma0 * lim T^(1-2H) (dI/dk)^2 ].
+
+    At H = 1/2 the factor is 4, the classical one-half skew rule squared.
     """
     _check_transfer_args(hurst, sigma0, lim_skew_implied_sq)
+    lim_skew_local_sq = lim_skew_implied_sq / skew_ratio_limit(hurst) ** 2
     return 2.0 * (1.0 + hurst) * (
-        lim_curv_implied
-        - 4.0 * curvature_bracket(hurst) / sigma0 * lim_skew_implied_sq
+        lim_curv_implied - curvature_bracket(hurst) / sigma0 * lim_skew_local_sq
     )
 
 

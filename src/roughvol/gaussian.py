@@ -7,11 +7,12 @@ discretization bias) from a dense factorization. W^H is self-similar,
 W^H_{cT} = c^H W^H_T in law, so one factorization of the unit grid serves
 every maturity with the same step count and Hurst index.
 
-Normals are drawn in fixed blocks of 4096 paths, one Philox stream per block,
-and up to four blocks at a time are filled in parallel by a short-lived
-thread pool; the W^H products then run block by block on the caller's
-thread, written straight into the output arrays. Every value depends only on
-(seed, block), never on the number of worker threads.
+Normals are drawn in fixed blocks of 4096 paths, one Philox stream per block.
+All blocks of a batch are drawn in one pass straight into the path buffer,
+up to four blocks at a time in parallel by a short-lived thread pool; the
+W^H products then run block by block on the caller's thread, in place on
+that buffer. Every value depends only on (seed, block), never on the number
+of worker threads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "SimGrid",
     "PathBatch",
     "volterra_autocovariance",
-    "volterra_autocovariance_quad",
     "volterra_cross_covariance",
     "simulate_joint_paths",
     "orthogonal_increments",
@@ -48,16 +48,13 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that fill normal blocks (and sigma-path row chunks in models); a
-# group of this many blocks is drawn per _block_normals call.
+# Threads that fill normal blocks (and sigma-path row chunks in models).
 _WORKERS = min(4, _usable_cores())
 
 # Conditional covariances below this fraction of the W^H variance scale are
 # treated as exactly degenerate (W^H measurable from the grid increments,
 # which happens at H = 1/2).
 _DEGENERATE_TOL = 1e-13
-
-_QUAD_RTOL = 1e-10
 
 
 def _check_hurst(H: float) -> None:
@@ -142,31 +139,6 @@ def volterra_autocovariance(t: float, s: float, H: float) -> float:
     if lo == hi:
         return lo ** (2.0 * H) / (2.0 * H)
     return lo**a * hi ** (H - 0.5) / a * special.hyp2f1(0.5 - H, 1.0, a + 1.0, lo / hi)
-
-
-def volterra_autocovariance_quad(t: float, s: float, H: float) -> float:
-    """Same integral by adaptive quadrature (relative tolerance 1e-10).
-
-    The kernel is singular at u = min(t,s) when H < 1/2; the substitution
-    u = m * (1 - v^{1/(H+1/2)}) with m = min(t,s) removes it:
-    du = -(m/a) v^{1/a - 1} dv with a = H+1/2, and (m-u) = m v^{1/a} turns
-    (m-u)^{H-1/2} dv-factor into a constant.
-    """
-    _check_time("t", t)
-    _check_time("s", s)
-    _check_hurst(H)
-    lo, hi = min(t, s), max(t, s)
-    a = H + 0.5
-    gap = hi - lo
-
-    def integrand(v: float) -> float:
-        # u = lo * (1 - v^{1/a}); (lo - u)^{H-1/2} * du = (lo^a / a) dv
-        return (gap + lo * v ** (1.0 / a)) ** (H - 0.5)
-
-    from scipy import integrate
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    return lo**a / a * val
 
 
 def volterra_cross_covariance(t: float, s: float, H: float) -> float:
@@ -269,11 +241,12 @@ def _fan_out(job, n_jobs: int) -> None:
 
 
 def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> np.ndarray:
-    """Standard normals of shape[0] // 4096 consecutive blocks from ``block`` on.
+    """Standard normals of shape[0] rows, in 4096-row blocks from ``block`` on.
 
-    Block b fills rows of its own Philox stream keyed (seed, (b << 2) | leg),
+    Block b fills its rows from its own Philox stream keyed (seed, (b << 2) | leg),
     so its values do not depend on how blocks are grouped or on the thread
-    that draws them.
+    that draws them. A stream fills in C order, so a last, partial block holds
+    the first rows of the full-block draw.
     """
     out = np.empty(shape)
 
@@ -283,15 +256,8 @@ def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> n
         gen = np.random.Generator(np.random.Philox(key=key))
         gen.standard_normal(out=out[i * _BLOCK : (i + 1) * _BLOCK])
 
-    _fan_out(fill, shape[0] // _BLOCK)
+    _fan_out(fill, -(-shape[0] // _BLOCK))
     return out
-
-
-def _groups(n_paths: int):
-    """(first block, block count) of each group of up to _WORKERS blocks."""
-    n_blocks = -(-n_paths // _BLOCK)
-    for first in range(0, n_blocks, _WORKERS):
-        yield first, min(_WORKERS, n_blocks - first)
 
 
 def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> PathBatch:
@@ -305,6 +271,11 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
     sum of dW exactly (the L_c product is skipped). The factors are those of
     the unit grid, factored once per (n_steps, H) and cached, scaled to the
     maturity by self-similarity.
+
+    The normals (Z_1, Z) of all paths are drawn first, in one pass, up to four
+    blocks at a time; then, block by block on the caller's thread, Z_1 is
+    scaled to dW in place and W^H is written over Z. ``dW`` and ``wh`` are
+    read-only views of the two halves of that one buffer.
 
     Parameters
     ----------
@@ -336,24 +307,23 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
     n = grid.n_steps
     coef, L, method, jitter = _grid_factors(grid, H)
 
+    # every block drawn in one pass; dW and W^H are the two halves of a row
+    buf = _block_normals(seed, 0, _LEG_JOINT, (n_paths, 2 * n))
+    dW, wh = buf[:, :n], buf[:, n:]
     sqrt_dt = math.sqrt(grid.dt)
-    dW = np.empty((n_paths, n))
-    wh = np.empty((n_paths, n))
     # the L_c @ Z product of one block; L_c is all zeros when degenerate
     noise = None if method == "degenerate" else np.empty((min(_BLOCK, n_paths), n))
-    for first, count in _groups(n_paths):
-        z = _block_normals(seed, first, _LEG_JOINT, (count * _BLOCK, 2 * n))
-        for i in range(count):
-            start = (first + i) * _BLOCK
-            take = min(_BLOCK, n_paths - start)
-            zi = z[i * _BLOCK : i * _BLOCK + take]
-            dw_blk = dW[start : start + take]
-            wh_blk = wh[start : start + take]
-            np.multiply(zi[:, :n], sqrt_dt, out=dw_blk)
-            np.matmul(dw_blk, coef.T, out=wh_blk)
-            if noise is not None:
-                np.matmul(zi[:, n:], L.T, out=noise[:take])
-                np.add(wh_blk, noise[:take], out=wh_blk)
+    for start in range(0, n_paths, _BLOCK):
+        dw_blk = dW[start : start + _BLOCK]
+        wh_blk = wh[start : start + _BLOCK]
+        np.multiply(dw_blk, sqrt_dt, out=dw_blk)
+        if noise is not None:
+            # read Z before W^H is written over it
+            noise_blk = noise[: len(wh_blk)]
+            np.matmul(wh_blk, L.T, out=noise_blk)
+        np.matmul(dw_blk, coef.T, out=wh_blk)
+        if noise is not None:
+            np.add(wh_blk, noise_blk, out=wh_blk)
 
     dW.flags.writeable = False
     wh.flags.writeable = False
@@ -378,13 +348,7 @@ def orthogonal_increments(grid: SimGrid, n_paths: int, seed: int) -> np.ndarray:
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    n = grid.n_steps
-    sqrt_dt = math.sqrt(grid.dt)
-    out = np.empty((n_paths, n))
-    for first, count in _groups(n_paths):
-        z = _block_normals(seed, first, _LEG_ORTHOGONAL, (count * _BLOCK, n))
-        start = first * _BLOCK
-        take = min(count * _BLOCK, n_paths - start)
-        np.multiply(z[:take], sqrt_dt, out=out[start : start + take])
+    out = _block_normals(seed, 0, _LEG_ORTHOGONAL, (n_paths, grid.n_steps))
+    np.multiply(out, math.sqrt(grid.dt), out=out)
     out.flags.writeable = False
     return out

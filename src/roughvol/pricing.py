@@ -35,13 +35,11 @@ __all__ = [
     "implied_vol",
     "mixing_call_price",
     "mixing_put_price",
-    "mc_digital",
     "mixing_smile_slice",
     "implied_skew_digital",
     "implied_skew_fd",
     "implied_curvature_fd",
     "log_euler_terminal",
-    "log_euler_call_price",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -368,18 +366,6 @@ def mixing_put_price(
     return mean_and_se(law.call(k) - (law.s_eff - k))
 
 
-def mc_digital(
-    sig: SigmaPath, p: RoughBergomiParams, t: float, k: float
-) -> tuple[float, float]:
-    """Conditional Monte Carlo estimate of P(S_T > K).
-
-    Each path contributes the exact conditional probability ndtr(-d) instead
-    of an indicator, so the estimate is smooth in K. Returns (probability,
-    standard error); exact with zero error when nu = 0.
-    """
-    return mean_and_se(ConditionalLaw(sig, p, t).digital(k))
-
-
 def mixing_smile_slice(
     sig: SigmaPath, p: RoughBergomiParams, t: float, strikes: Sequence[float]
 ) -> SmileSlice:
@@ -500,12 +486,3 @@ def log_euler_terminal(
     rho_bar = math.sqrt(1.0 - p.rho**2)
     log_increments = left * (p.rho * batch.dW + rho_bar * db) - 0.5 * left**2 * batch.grid.dt
     return p.s0 * np.exp(log_increments.sum(axis=1))
-
-
-def log_euler_call_price(
-    sig: SigmaPath, batch: PathBatch, p: RoughBergomiParams, k: float
-) -> tuple[float, float]:
-    """Plain Monte Carlo call price from the log-Euler terminal spot."""
-    _validate_strike(k)
-    s_t = log_euler_terminal(sig, batch, p)
-    return mean_and_se(np.maximum(s_t - k, 0.0))

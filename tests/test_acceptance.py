@@ -167,12 +167,15 @@ class TestSabrAnalytic:
 # ---------------------------------------------------------------------------
 
 
-def transfer_residual(p, t, h, n_paths, n_steps, seed):
-    """Scaled transfer residual D(T) with one joint standard error.
+def transfer_residuals(p, t, h, n_paths, n_steps, seed):
+    """Scaled transfer residuals D(T), each with one joint standard error.
 
-    D(T) = 2(1+H)[T^{1-2H} curv_iv - 4 C(H)/sigma0 (T^{1/2-H} skew_iv)^2]
+    D(T) = 2(1+H)[T^{1-2H} curv_iv - f C(H)/sigma0 (T^{1/2-H} skew_iv)^2]
            - T^{1-2H} curv_lv, all three estimates read off the same paths
-    through a single delta method, so their correlation is kept.
+    through a single delta method, so their correlation is kept. Returns
+    (D, se) for the paper's f = (H + 3/2)^2 (``local_curv_from_implied``)
+    and for the classical f = 4 of the one-half skew rule, on the same
+    features.
     """
     batch = simulate_joint_paths(SimGrid(t, n_steps), p.hurst, n_paths, seed)
     law = ConditionalLaw(bergomi_sigma_path(batch, p), p, t)
@@ -186,42 +189,52 @@ def transfer_residual(p, t, h, n_paths, n_steps, seed):
     curv_scale = t ** (1.0 - 2.0 * p.hurst)
     skew_scale = t ** (0.5 - p.hurst)
 
-    def g(m):
+    def measured(m):
+        """Scaled (curv_iv, skew_iv^2, curv_lv) at the feature means m."""
         iv_m = implied_vol(m[0], s0, km, t)
         iv_0 = implied_vol(m[1], s0, s0, t)
         iv_p = implied_vol(m[2], s0, kp, t)
         curv_iv = (iv_p - 2.0 * iv_0 + iv_m) / (h * h)
         skew_iv = law.implied_skew(m[1:4:2], s0)
         curv_lv = (law.local_skew(m[4:8], kp) - law.local_skew(m[8:12], km)) / (2.0 * h)
-        c_hat = local_curv_from_implied(
-            p.hurst, p.sigma0, (skew_scale * skew_iv) ** 2, curv_scale * curv_iv
-        )
-        return c_hat - curv_scale * curv_lv
+        return curv_scale * curv_iv, (skew_scale * skew_iv) ** 2, curv_scale * curv_lv
 
-    return delta_method(features, g)
+    def paper(m):
+        curv_iv, skew_sq, curv_lv = measured(m)
+        return local_curv_from_implied(p.hurst, p.sigma0, skew_sq, curv_iv) - curv_lv
+
+    def classical(m):
+        curv_iv, skew_sq, curv_lv = measured(m)
+        bracket = curvature_bracket(p.hurst) / p.sigma0
+        return 2.0 * (1.0 + p.hurst) * (curv_iv - 4.0 * bracket * skew_sq) - curv_lv
+
+    return delta_method(features, paper), delta_method(features, classical)
 
 
-@pytest.fixture(scope="module")
-def transfer_h02():
-    config = ExperimentConfig.from_mapping("power-law")
+def transfer_rows(config):
+    """(T, D, se, D_4, se_4) at the 5 shortest power-law maturities, on the
+    paths of the power-law run (same config, sub-seeds and bumps)."""
     p = config.bergomi_params()
     t_top = float(config.maturities[-1])
     rows = []
     for i in range(5):
         t = float(config.maturities[i])
         h = config.curvature_bump * math.sqrt(t / t_top)
-        value, se = transfer_residual(
+        (value, se), (value4, se4) = transfer_residuals(
             p, t, h, config.n_paths, config.n_steps, config.maturity_seed(i)
         )
-        rows.append((t, value, se))
-    return rows
+        rows.append((t, value, se, value4, se4))
+    return np.array(rows)
+
+
+@pytest.fixture(scope="module")
+def transfer_h02():
+    return transfer_rows(ExperimentConfig.from_mapping("power-law"))
 
 
 class TestCurvatureTransfer:
     def test_criterion_6_transfer(self, transfer_h02, acceptance_report):
-        ts = np.array([r[0] for r in transfer_h02])
-        values = np.array([r[1] for r in transfer_h02])
-        ses = np.array([r[2] for r in transfer_h02])
+        ts, values, ses = transfer_h02.T[:3]
         level, level_se = weighted_level_fit(ts, values, ses, powers=(0.4,))
         ok = abs(level) <= 3.0 * level_se
         detail = (
@@ -229,6 +242,20 @@ class TestCurvatureTransfer:
             f"+- {level_se:.4f} (|z| = {abs(level) / level_se:.2f}, need <= 3)"
         )
         check(acceptance_report, 6, "curvature transfer H=0.2", ok, detail)
+
+    def test_criterion_6_rejects_classical_transfer(self, transfer_h02, acceptance_report):
+        # the inverse-SE^2-weighted mean (a level fit with no T term) has an
+        # SE of ~0.04, enough to tell (H + 3/2)^2 = 2.89 from 4
+        ts, values, ses, values4, ses4 = transfer_h02.T
+        mean, se = weighted_level_fit(ts, values, ses, powers=())
+        mean4, se4 = weighted_level_fit(ts, values4, ses4, powers=())
+        ok = abs(mean) <= 3.0 * se and abs(mean4) >= 3.0 * se4
+        detail = (
+            f"weighted mean residual, (H+3/2)^2 transfer {mean:+.4f} +- {se:.4f} "
+            f"(|z| = {abs(mean) / se:.2f}, need <= 3); factor-4 transfer "
+            f"{mean4:+.4f} +- {se4:.4f} (|z| = {abs(mean4) / se4:.2f}, need >= 3)"
+        )
+        check(acceptance_report, "6b", "transfer power H=0.2", ok, detail)
 
 
 class TestPowerLaws:

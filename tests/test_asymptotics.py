@@ -142,9 +142,9 @@ class TestCurvatureTransfer:
             hurst, 0.3, lim_skew_local_sq, lim_curv_local
         )
         # the inverse consumes the implied skew; the transfer identifies
-        # local skew^2 with 4x implied skew^2
+        # local skew^2 with (H + 3/2)^2 x implied skew^2
         recovered = local_curv_from_implied(
-            hurst, 0.3, lim_skew_local_sq / 4.0, implied
+            hurst, 0.3, lim_skew_local_sq / (hurst + 1.5) ** 2, implied
         )
         assert abs(recovered - lim_curv_local) < 1e-12
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from oracles import volterra_autocovariance_quad
 from roughvol import gaussian
 from roughvol.gaussian import (
     SimGrid,
     orthogonal_increments,
     simulate_joint_paths,
     volterra_autocovariance,
-    volterra_autocovariance_quad,
     volterra_cross_covariance,
 )
 
@@ -203,10 +203,14 @@ class TestSimulateJointPaths:
             simulate_joint_paths(g, 0.3, 0, seed=0)
 
     def test_outputs_read_only(self):
+        # dW and W^H are views of one buffer: both read-only, n_paths rows each
         g = SimGrid(1.0, 8)
-        b = simulate_joint_paths(g, 0.3, 4, seed=0)
-        with pytest.raises(ValueError):
-            b.wh[0, 0] = 1.0
+        for n_paths in (1, 4, 4097):
+            b = simulate_joint_paths(g, 0.3, n_paths, seed=0)
+            for arr in (b.dW, b.wh):
+                assert arr.shape == (n_paths, 8)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[-1, 0] = 1.0
 
 
 class TestUnitGridFactors:
@@ -299,7 +303,7 @@ def _serial_joint_paths(grid, H, n_paths, seed):
 
 class TestParallelDraws:
     @pytest.mark.parametrize("H", [0.2, 0.5])
-    @pytest.mark.parametrize("n_paths", [4097, 3 * 4096 + 1])
+    @pytest.mark.parametrize("n_paths", [1, 4095, 4096, 4097, 3 * 4096 + 1])
     def test_matches_serial_block_oracle_bitwise(self, H, n_paths):
         g = SimGrid(0.3, 8)
         batch = simulate_joint_paths(g, H, n_paths, seed=17)
@@ -308,7 +312,7 @@ class TestParallelDraws:
         assert dW.tobytes() == batch.dW.tobytes()
         assert wh.tobytes() == batch.wh.tobytes()
 
-    # path counts on both sides of the 4096-path block and group boundaries
+    # path counts on both sides of the 4096-path block boundaries
     @pytest.mark.parametrize("n_paths", [1, 4095, 4097, 3 * 4096 + 1])
     def test_orthogonal_leg_independent_of_worker_count(self, n_paths, monkeypatch):
         g = SimGrid(0.3, 8)
@@ -332,11 +336,12 @@ class TestParallelDraws:
 
         monkeypatch.setattr(gaussian, "_block_normals", counting)
         n_paths, n = 3 * 4096 + 1, 8
+        # one draw pass per batch, no padding rows in the last block
         simulate_joint_paths(SimGrid(0.3, n), 0.2, n_paths, seed=2)
+        assert drawn == [n_paths * 2 * n]
+        orthogonal_increments(SimGrid(0.3, n), n_paths, seed=2)
+        assert drawn == [n_paths * 2 * n, n_paths * n]
         assert threads == {threading.get_ident()}
-        assert sum(drawn) == 4 * 4096 * 2 * n
-        # one call per group of up to `workers` blocks
-        assert len(drawn) == -(-4 // workers)
 
     def test_a_failing_block_raises_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(gaussian, "_WORKERS", 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from oracles import log_euler_call_price, mc_digital
 from roughvol._stats import delta_method, mean_and_se, weighted_level_fit
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import RoughBergomiParams, SabrParams, bergomi_sigma_path
@@ -22,9 +23,7 @@ from roughvol.pricing import (
     implied_skew_digital,
     implied_skew_fd,
     implied_vol,
-    log_euler_call_price,
     log_euler_terminal,
-    mc_digital,
     mixing_call_price,
     mixing_put_price,
     mixing_smile_slice,

@@ -13,9 +13,11 @@ from typing import List, Optional
 
 from . import __version__
 from .experiments import (
+    _INT_RANGES,
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _check_int,
     run_experiment,
     run_selftest,
     write_outputs,
@@ -73,13 +75,16 @@ def _load_config_file(path: str) -> dict:
 
 
 def _selftest(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.paths is not None:
-        kwargs["n_paths"] = args.paths
-    if args.steps is not None:
-        kwargs["n_steps"] = args.steps
+    given = {"seed": args.seed, "n_paths": args.paths, "n_steps": args.steps}
+    errors: List[str] = []
+    kwargs = {
+        key: _check_int(given, key, *_INT_RANGES[key], errors)
+        for key, value in given.items()
+        if value is not None
+    }
+    if errors:
+        print(f"config error: {'; '.join(errors)}", file=sys.stderr)
+        return 2
     checks = run_selftest(**kwargs)
     for check in checks:
         status = "ok  " if check.passed else "FAIL"

@@ -11,7 +11,8 @@ Three experiments, each writing ``<out>/<experiment>.csv`` (fixed columns,
   structures, the transfer gap (local curvature)/3 - implied curvature,
   and the implied/local curvature ratio.
 * ``power-law``: Monte Carlo implied and local ATM curvatures over the
-  ladder with log-log power-law fits of both series on a short-end window.
+  ladder with log-log power-law fits of both series on a short-end window,
+  the implied ATM skew, and the curvature-transfer residual with its joint SE.
 
 Everything is reproducible: identical configuration implies identical CSV
 and SVG bytes. Each maturity derives its own seed from (master seed,
@@ -37,7 +38,10 @@ import scipy
 
 from . import __version__
 from ._stats import delta_method
-from .asymptotics import PowerLawFit, TermSeries, fit_power_law, sabr_curvature_gap, skew_ratio_limit
+from .asymptotics import (
+    PowerLawFit, TermSeries, fit_power_law, local_curv_from_implied, sabr_curvature_gap,
+    skew_ratio_limit,
+)
 from .gaussian import SimGrid, simulate_joint_paths, volterra_cross_covariance
 from .local_vol import local_vol_curvature_fd, mixing_local_vol, mixing_local_vol_skew
 from .models import (
@@ -94,6 +98,12 @@ _DEFAULT_LADDER: Dict[str, Dict[str, float]] = {
     "sabr-curvature": dict(min=0.001, max=1.0, count=24),
 }
 _MAX_STEPS = 2048  # dense-factorization cap of the Gaussian engine
+# Accepted ranges of the integer settings, shared with the selftest flags.
+_INT_RANGES: Dict[str, Tuple[int, int]] = {
+    "n_paths": (2, 2**31),
+    "n_steps": (1, _MAX_STEPS),
+    "seed": (0, 2**64 - 1),
+}
 
 
 class ConfigError(ValueError):
@@ -204,9 +214,9 @@ class ExperimentConfig:
             errors.append("model: rho must lie in (-1, 1) for the Monte Carlo experiments")
 
         maturities = _resolve_ladder(merged["maturities"], errors)
-        n_paths = _check_int(merged, "n_paths", 2, 2**31, errors)
-        n_steps = _check_int(merged, "n_steps", 1, _MAX_STEPS, errors)
-        seed = _check_int(merged, "seed", 0, 2**64 - 1, errors)
+        n_paths, n_steps, seed = (
+            _check_int(merged, key, *_INT_RANGES[key], errors) for key in _INT_RANGES
+        )
         skew_bump = _check_bump(merged, "skew_bump", errors)
         curvature_bump = _check_bump(merged, "curvature_bump", errors)
         window = _check_window(merged["window"], errors)
@@ -470,6 +480,40 @@ def _skew_ratio_with_se(
     return delta_method(features, lambda m: law.implied_skew(m[:2], k) / law.local_skew(m[2:], k))
 
 
+def _skew_and_transfer(
+    sig: SigmaPath, p: RoughBergomiParams, t: float, h: float
+) -> Tuple[float, float, float, float]:
+    """(skew_iv, se, transfer, se) at maturity t, off one feature matrix.
+
+    skew_iv is ``implied_skew_digital`` (same columns, same bytes). The
+    scaled transfer residual local_curv_from_implied(H, sigma0, (T^(1/2-H)
+    skew_iv)^2, T^(1-2H) curv_iv) - T^(1-2H) curv_lv tends to 0; its SE comes
+    from one delta method over the calls at s0 e^{-h}, s0, s0 e^{h}, the ATM
+    digital and the densities ``ConditionalLaw.local_curvature`` reads.
+    """
+    law = ConditionalLaw(sig, p, t)
+    s0 = p.s0
+    km, kp = s0 * math.exp(-h), s0 * math.exp(h)
+    atm = [law.call(s0), law.digital(s0)]
+    features = np.column_stack(
+        [law.call(km), atm[0], law.call(kp), atm[1], law.density(kp), law.density(km)]
+    )
+    curv_scale = t ** (1.0 - 2.0 * p.hurst)
+    skew_scale = t ** (0.5 - p.hurst)
+
+    def residual(m: np.ndarray) -> float:
+        iv_m = implied_vol(m[0], s0, km, t)
+        iv_0 = implied_vol(m[1], s0, s0, t)
+        iv_p = implied_vol(m[2], s0, kp, t)
+        curv_iv = curv_scale * ((iv_p - 2.0 * iv_0 + iv_m) / (h * h))
+        skew_sq = (skew_scale * law.implied_skew(m[1:4:2], s0)) ** 2
+        predicted = local_curv_from_implied(p.hurst, p.sigma0, skew_sq, curv_iv)
+        return predicted - curv_scale * law.local_curvature(m[4:], h)
+
+    skew = delta_method(np.column_stack(atm), lambda m: law.implied_skew(m, s0))
+    return skew + delta_method(features, residual)
+
+
 def _fd_bump(config: ExperimentConfig, t: float) -> float:
     """Log-strike half-width for curvature differences at maturity t.
 
@@ -483,7 +527,10 @@ _SKEW_COLUMNS = ("T", "skew_iv", "se_iv", "skew_lv", "se_lv", "ratio", "se_ratio
 _SABR_COLUMNS = (
     "T", "curv_lv", "se_curv_lv", "curv_iv", "se_curv_iv", "gap", "se_gap", "ratio", "se_ratio",
 )
-_POWER_COLUMNS = ("T", "curv_iv", "se_curv_iv", "curv_lv", "se_curv_lv")
+_POWER_COLUMNS = (
+    "T", "curv_iv", "se_curv_iv", "curv_lv", "se_curv_lv", "skew_iv", "se_iv", "transfer",
+    "se_transfer",
+)
 
 
 def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
@@ -602,7 +649,15 @@ def _fit_with_shrink(
     window: Tuple[float, float],
     notes: List[str],
 ) -> PowerLawFit:
-    """Power-law fit that shrinks the window on an interior sign change."""
+    """Power-law fit that shrinks the window on an interior sign change.
+
+    Only the finite points are fitted: a failed maturity is a NaN row with a
+    flag of its own, not a change of sign.
+    """
+    keep = np.isfinite(series.values)
+    series = TermSeries(
+        series.maturities[keep], series.values[keep], series.std_errors[keep], series.label
+    )
     lo, hi = window
     while True:
         try:
@@ -634,9 +689,11 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
 
     Per maturity: implied curvature from a three-strike smile slice and
     local curvature from the analytic-skew difference, on the same paths
-    with a sqrt(T)-scaled log-strike bump. Both series are fitted on the
-    short-end window; the exponents and their difference land in the meta
-    output. A series that admits no fit raises a flag instead.
+    with a sqrt(T)-scaled log-strike bump, and the digital implied ATM skew
+    and transfer residual of ``_skew_and_transfer``. Both curvature series
+    are fitted on the short-end window; the exponents and their difference
+    land in the meta output. A series that admits no fit raises a flag
+    instead.
     """
     start = time.perf_counter()
     p = config.bergomi_params()
@@ -648,7 +705,8 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         strikes = p.s0 * np.exp(np.array([-h, 0.0, h]))
         curv_iv = implied_curvature_fd(mixing_smile_slice(sig, p, t, strikes))
         curv_lv = local_vol_curvature_fd(sig, p, t, h)
-        return (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error), []
+        values = (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error)
+        return values + _skew_and_transfer(sig, p, t, h), []
 
     cols, flags = _ladder(config, _POWER_COLUMNS, row)
     flags += _factorization_flags(factorization)
@@ -844,6 +902,6 @@ def run_selftest(
         _roundtrip_check(),
         _fd_quadratic_check(),
         _volterra_moment_check(seed, n_paths, n_steps),
-        _martingale_parity_check(seed + 1, n_paths, n_steps),
-        _deterministic_vol_check(seed + 2, n_paths, n_steps),
+        _martingale_parity_check((seed + 1) % 2**64, n_paths, n_steps),
+        _deterministic_vol_check((seed + 2) % 2**64, n_paths, n_steps),
     ]

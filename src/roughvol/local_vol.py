@@ -126,11 +126,7 @@ def local_vol_curvature_fd(
     up = law.density(kp)
     dn = law.density(km)
     _check_weights(np.minimum(up[:, 0], dn[:, 0]), t, p.s0)
-
-    def g(m: np.ndarray) -> float:
-        return (law.local_skew(m[:4], kp) - law.local_skew(m[4:], km)) / (2.0 * h)
-
-    value, se = delta_method(np.hstack([up, dn]), g)
+    value, se = delta_method(np.hstack([up, dn]), lambda m: law.local_curvature(m, h))
     return SkewEstimate(maturity=t, value=value, std_error=se, method="finite-difference")
 
 

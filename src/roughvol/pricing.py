@@ -235,7 +235,8 @@ class ConditionalLaw:
     V = int sigma^2 du and M = int sigma dW. Every mixing estimator averages
     the per-path feature columns ``call``, ``digital`` and ``density`` and
     reads its value, and its standard error through the delta method, from a
-    map of their means: ``implied_skew``, ``local_vol`` and ``local_skew``.
+    map of their means: ``implied_skew``, ``local_vol``, ``local_skew`` and
+    ``local_curvature``.
 
     The paths are read at maturity t, which must be a time of the grid of
     sig. With nu = 0 the volatility is deterministic and the law is exact,
@@ -331,6 +332,13 @@ class ConditionalLaw:
         """
         dk = (m[1] / m[0] * m[2] - m[3]) / (2.0 * self.local_vol(m) * k * m[0])
         return k * dk
+
+    def local_curvature(self, m: np.ndarray, h: float) -> float:
+        """Log-strike local-vol curvature at s0 from the eight means of
+        (density(s0 e^h), density(s0 e^-h)): the centred difference of the
+        two ``local_skew`` readings over the log-strike span 2h."""
+        kp, km = self.s0 * math.exp(h), self.s0 * math.exp(-h)
+        return (self.local_skew(m[:4], kp) - self.local_skew(m[4:], km)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

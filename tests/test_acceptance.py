@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from roughvol._stats import delta_method, weighted_level_fit
+from roughvol._stats import weighted_level_fit
 from roughvol.asymptotics import (
     TermSeries,
+    bergomi_curvature_limit,
     bergomi_skew_limit,
     curvature_bracket,
     fit_power_law,
-    local_curv_from_implied,
     sabr_curvature_gap,
     skew_ratio_limit,
 )
@@ -37,7 +37,6 @@ from roughvol.local_vol import (
     mixing_price_grid,
 )
 from roughvol.models import RoughBergomiParams, bergomi_sigma_path
-from roughvol.pricing import ConditionalLaw, implied_vol
 
 
 def check(report, number, name, ok, detail):
@@ -163,79 +162,20 @@ class TestSabrAnalytic:
 
 
 # ---------------------------------------------------------------------------
-# Curvature transfer: joint residual of the implied->local formula
+# Curvature transfer and the implied curvature limit, read off the power-law
+# table: its transfer column is the joint residual of the implied->local
+# formula, with one delta-method SE per maturity
 # ---------------------------------------------------------------------------
 
 
-def transfer_residuals(p, t, h, n_paths, n_steps, seed):
-    """Scaled transfer residuals D(T), each with one joint standard error.
-
-    D(T) = 2(1+H)[T^{1-2H} curv_iv - f C(H)/sigma0 (T^{1/2-H} skew_iv)^2]
-           - T^{1-2H} curv_lv, all three estimates read off the same paths
-    through a single delta method, so their correlation is kept. Returns
-    (D, se) for the paper's f = (H + 3/2)^2 (``local_curv_from_implied``)
-    and for the classical f = 4 of the one-half skew rule, on the same
-    features.
-    """
-    batch = simulate_joint_paths(SimGrid(t, n_steps), p.hurst, n_paths, seed)
-    law = ConditionalLaw(bergomi_sigma_path(batch, p), p, t)
-    del batch
-    s0 = p.s0
-    km, kp = s0 * math.exp(-h), s0 * math.exp(h)
-    features = np.column_stack(
-        [law.call(km), law.call(s0), law.call(kp), law.digital(s0)]
-        + [law.density(kp), law.density(km)]
-    )
-    curv_scale = t ** (1.0 - 2.0 * p.hurst)
-    skew_scale = t ** (0.5 - p.hurst)
-
-    def measured(m):
-        """Scaled (curv_iv, skew_iv^2, curv_lv) at the feature means m."""
-        iv_m = implied_vol(m[0], s0, km, t)
-        iv_0 = implied_vol(m[1], s0, s0, t)
-        iv_p = implied_vol(m[2], s0, kp, t)
-        curv_iv = (iv_p - 2.0 * iv_0 + iv_m) / (h * h)
-        skew_iv = law.implied_skew(m[1:4:2], s0)
-        curv_lv = (law.local_skew(m[4:8], kp) - law.local_skew(m[8:12], km)) / (2.0 * h)
-        return curv_scale * curv_iv, (skew_scale * skew_iv) ** 2, curv_scale * curv_lv
-
-    def paper(m):
-        curv_iv, skew_sq, curv_lv = measured(m)
-        return local_curv_from_implied(p.hurst, p.sigma0, skew_sq, curv_iv) - curv_lv
-
-    def classical(m):
-        curv_iv, skew_sq, curv_lv = measured(m)
-        bracket = curvature_bracket(p.hurst) / p.sigma0
-        return 2.0 * (1.0 + p.hurst) * (curv_iv - 4.0 * bracket * skew_sq) - curv_lv
-
-    return delta_method(features, paper), delta_method(features, classical)
-
-
-def transfer_rows(config):
-    """(T, D, se, D_4, se_4) at the 5 shortest power-law maturities, on the
-    paths of the power-law run (same config, sub-seeds and bumps)."""
-    p = config.bergomi_params()
-    t_top = float(config.maturities[-1])
-    rows = []
-    for i in range(5):
-        t = float(config.maturities[i])
-        h = config.curvature_bump * math.sqrt(t / t_top)
-        (value, se), (value4, se4) = transfer_residuals(
-            p, t, h, config.n_paths, config.n_steps, config.maturity_seed(i)
-        )
-        rows.append((t, value, se, value4, se4))
-    return np.array(rows)
-
-
-@pytest.fixture(scope="module")
-def transfer_h02():
-    return transfer_rows(ExperimentConfig.from_mapping("power-law"))
-
-
 class TestCurvatureTransfer:
-    def test_criterion_6_transfer(self, transfer_h02, acceptance_report):
-        ts, values, ses = transfer_h02.T[:3]
-        level, level_se = weighted_level_fit(ts, values, ses, powers=(0.4,))
+    def test_criterion_6_transfer(self, power_h02, acceptance_report):
+        hurst = power_h02.config.bergomi_params().hurst
+        ts, values, ses = (power_h02.table[name] for name in ("T", "transfer", "se_transfer"))
+        mask = ts <= 0.25
+        level, level_se = weighted_level_fit(
+            ts[mask], values[mask], ses[mask], powers=(2.0 * hurst,)
+        )
         ok = abs(level) <= 3.0 * level_se
         detail = (
             f"formula-minus-measured local curvature limit = {level:+.4f} "
@@ -243,12 +183,23 @@ class TestCurvatureTransfer:
         )
         check(acceptance_report, 6, "curvature transfer H=0.2", ok, detail)
 
-    def test_criterion_6_rejects_classical_transfer(self, transfer_h02, acceptance_report):
-        # the inverse-SE^2-weighted mean (a level fit with no T term) has an
-        # SE of ~0.04, enough to tell (H + 3/2)^2 = 2.89 from 4
-        ts, values, ses, values4, ses4 = transfer_h02.T
+    def test_criterion_6_rejects_classical_transfer(self, power_h02, acceptance_report):
+        # the inverse-SE^2-weighted mean of the five shortest rows (a level
+        # fit with no T term) has an SE of ~0.04, enough to tell
+        # (H + 3/2)^2 = 2.89 from 4. The factor-4 residual is the
+        # (H + 3/2)^2 one plus coef * S^2 with S = T^(1/2-H) skew_iv; the
+        # table holds no covariance of the two columns, so the triangle
+        # inequality bounds its SE from above.
+        p = power_h02.config.bergomi_params()
+        names = ("T", "skew_iv", "se_iv", "transfer", "se_transfer")
+        ts, skew, skew_se, values, ses = (power_h02.table[name][:5] for name in names)
+        skew, skew_se = ts ** (0.5 - p.hurst) * skew, ts ** (0.5 - p.hurst) * skew_se
+        coef = 2.0 * (1.0 + p.hurst) * curvature_bracket(p.hurst) / p.sigma0
+        coef *= (p.hurst + 1.5) ** 2 - 4.0
         mean, se = weighted_level_fit(ts, values, ses, powers=())
-        mean4, se4 = weighted_level_fit(ts, values4, ses4, powers=())
+        mean4, se4 = weighted_level_fit(
+            ts, values + coef * skew**2, ses + np.abs(2.0 * coef * skew) * skew_se, powers=()
+        )
         ok = abs(mean) <= 3.0 * se and abs(mean4) >= 3.0 * se4
         detail = (
             f"weighted mean residual, (H+3/2)^2 transfer {mean:+.4f} +- {se:.4f} "
@@ -256,6 +207,24 @@ class TestCurvatureTransfer:
             f"{mean4:+.4f} +- {se4:.4f} (|z| = {abs(mean4) / se4:.2f}, need >= 3)"
         )
         check(acceptance_report, "6b", "transfer power H=0.2", ok, detail)
+
+    def test_criterion_6c_curvature_limit(self, power_h02, acceptance_report):
+        p = power_h02.config.bergomi_params()
+        ts, curv, curv_se = (power_h02.table[name] for name in ("T", "curv_iv", "se_curv_iv"))
+        mask = ts <= 0.02
+        scale = ts[mask] ** (1.0 - 2.0 * p.hurst)
+        mean, se = weighted_level_fit(
+            ts[mask], scale * curv[mask], scale * curv_se[mask], powers=()
+        )
+        limit = bergomi_curvature_limit(p)
+        z = abs(mean - limit) / se
+        ok = z <= 3.0
+        detail = (
+            f"weighted mean of T^(1-2H) curv_iv over {int(mask.sum())} maturities "
+            f"T <= 0.02 = {mean:.4f} +- {se:.4f} vs limit {limit:.4f} "
+            f"(|z| = {z:.2f}, need <= 3)"
+        )
+        check(acceptance_report, "6c", "implied curvature limit H=0.2", ok, detail)
 
 
 class TestPowerLaws:

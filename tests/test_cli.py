@@ -278,6 +278,28 @@ class TestSelftestCommand:
         assert "selftest: 5/5 checks passed" in captured.out
         assert captured.out.count("ok  ") == 5
 
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["--paths", "0"], "n_paths must lie in [2, 2147483648], got 0"),
+            (["--steps", "5000"], "n_steps must lie in [1, 2048], got 5000"),
+            (["--seed", "-1"], "seed must lie in [0, 18446744073709551615], got -1"),
+            (["--seed", str(2**64)], "seed must lie in"),
+        ],
+    )
+    def test_out_of_range_flags_exit_2(self, flags, fragment, capsys):
+        code = main(["selftest", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: ")
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_largest_seed_runs(self, capsys):
+        # the checks draw from seed, seed + 1 and seed + 2, wrapped to 64 bits
+        code = main(["selftest", "--seed", str(2**64 - 1), "--paths", "3000", "--steps", "16"])
+        assert code == 0, capsys.readouterr().out
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -9,7 +9,7 @@ import pytest
 
 import roughvol.experiments as experiments
 import roughvol.gaussian as gaussian
-from roughvol.asymptotics import TermSeries, sabr_curvature_gap
+from roughvol.asymptotics import TermSeries, local_curv_from_implied, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +21,7 @@ from roughvol.experiments import (
     run_skew_ratio,
     write_outputs,
 )
-from roughvol.pricing import ImpliedVolBoundsError
+from roughvol.pricing import ImpliedVolBoundsError, implied_skew_digital
 
 TINY = {"n_paths": 1500, "n_steps": 8}
 
@@ -430,6 +430,30 @@ class TestFitWithShrink:
         with pytest.raises(ArithmeticError, match="changes sign"):
             _fit_with_shrink(series, (0.0, 0.25), [])
 
+    @pytest.mark.parametrize("failed", [[0], [3], [7], [0, 4]])
+    def test_failed_rows_are_skipped_not_sign_changes(self, failed):
+        # a failed maturity is a NaN row: the fit uses the finite rows, keeps
+        # the window and writes no note
+        ts = np.geomspace(0.01, 0.2, 8)
+        values = 3.0 * ts**-0.6
+        values[failed] = np.nan
+        ses = np.where(np.isnan(values), np.nan, 0.0)
+        notes = []
+        fit = _fit_with_shrink(TermSeries(ts, values, ses, "curv"), (0.0, 0.25), notes)
+        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
+        assert fit.residuals.size == 8 - len(failed)
+        assert notes == []
+
+    def test_sign_change_after_a_failed_row_still_shrinks(self):
+        ts = np.geomspace(0.01, 0.2, 8)
+        values = 3.0 * ts**-0.6
+        values[1], values[6] = np.nan, -1.0
+        notes = []
+        with pytest.warns(UserWarning, match="sign change"):
+            fit = _fit_with_shrink(TermSeries(ts, values, np.zeros(8), "curv"), (0.0, 0.25), notes)
+        assert fit.residuals.size == 5
+        assert len(notes) == 1 and f"{0.5 * (ts[5] + ts[6]):.6g}" in notes[0]
+
 
 class TestRunPowerLaw:
     @pytest.fixture
@@ -437,8 +461,35 @@ class TestRunPowerLaw:
         return power_result
 
     def test_columns(self, result):
-        assert result.columns == ("T", "curv_iv", "se_curv_iv", "curv_lv", "se_curv_lv")
+        assert result.columns == (
+            "T", "curv_iv", "se_curv_iv", "curv_lv", "se_curv_lv", "skew_iv", "se_iv",
+            "transfer", "se_transfer",
+        )
         assert np.all(result.table["curv_lv"] > 0)
+        for name in result.columns:
+            assert np.all(np.isfinite(result.table[name])), name
+
+    def test_transfer_is_the_formula_on_the_row(self, result):
+        # the joint map reads the same feature means as the per-column
+        # estimators, so the row's own columns reproduce it to round-off
+        p = result.config.bergomi_params()
+        table = result.table
+        for i, t in enumerate(table["T"]):
+            curv_scale = t ** (1.0 - 2.0 * p.hurst)
+            skew_sq = (t ** (0.5 - p.hurst) * table["skew_iv"][i]) ** 2
+            expected = local_curv_from_implied(
+                p.hurst, p.sigma0, skew_sq, curv_scale * table["curv_iv"][i]
+            ) - curv_scale * table["curv_lv"][i]
+            assert table["transfer"][i] == pytest.approx(expected, rel=1e-8, abs=1e-10)
+            assert table["se_transfer"][i] > 0
+
+    def test_skew_is_the_digital_estimator(self, result):
+        config, p = result.config, result.config.bergomi_params()
+        for i, t in enumerate(result.table["T"]):
+            sig = experiments._simulate(p, config, i, float(t), {})
+            skew = implied_skew_digital(sig, p, float(t))
+            assert result.table["skew_iv"][i] == skew.value
+            assert result.table["se_iv"][i] == skew.std_error
 
     def test_fits_present(self, result):
         assert set(result.fits) == {"curv_iv", "curv_lv"}

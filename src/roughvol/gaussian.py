@@ -12,7 +12,9 @@ All blocks of a batch are drawn in one pass straight into the path buffer,
 up to four blocks at a time in parallel by a short-lived thread pool; the
 W^H products then run block by block on the caller's thread, in place on
 that buffer. Every value depends only on (seed, block), never on the number
-of worker threads.
+of worker threads. A batch may start at any block (``first_block``), so a
+caller can produce a large path set group by group: the rows of a group are
+bitwise the matching rows of the whole batch.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ class PathBatch:
         the grid cells; W at grid times is their cumulative sum.
     wh : (n_paths, n_steps) values of W^H at the grid times.
     seed : 64-bit token; regenerating with the same (grid, hurst, n_paths,
-        seed) reproduces identical values bit for bit.
+        seed, first_block) reproduces identical values bit for bit.
+    first_block : index of the 4096-path block of the first row; row i is
+        path first_block * 4096 + i of the seed's path sequence.
     factorization : how the conditional covariance was factored
         ("cholesky", "cholesky+jitter", "eigh-clip" or "degenerate").
     jitter : diagonal jitter applied, 0.0 if none.
@@ -122,6 +126,7 @@ class PathBatch:
     wh: np.ndarray
     factorization: str
     jitter: float
+    first_block: int = 0
 
 
 def volterra_autocovariance(t: float, s: float, H: float) -> float:
@@ -260,7 +265,9 @@ def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> n
     return out
 
 
-def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> PathBatch:
+def simulate_joint_paths(
+    grid: SimGrid, H: float, n_paths: int, seed: int, first_block: int = 0
+) -> PathBatch:
     """Draw (dW, W^H) with the exact joint Gaussian law on the grid.
 
     The 2n x 2n covariance of (dW, W^H) is factored in block form:
@@ -289,6 +296,9 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
         64-bit reproducibility token. Paths are generated in fixed blocks of
         4096 keyed by (seed, block, leg), so path i does not depend on
         n_paths.
+    first_block : int
+        Block of the first row: the batch holds paths first_block * 4096 on,
+        bitwise the same rows as in a batch started at block 0.
 
     Returns
     -------
@@ -308,7 +318,7 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
     coef, L, method, jitter = _grid_factors(grid, H)
 
     # every block drawn in one pass; dW and W^H are the two halves of a row
-    buf = _block_normals(seed, 0, _LEG_JOINT, (n_paths, 2 * n))
+    buf = _block_normals(seed, first_block, _LEG_JOINT, (n_paths, 2 * n))
     dW, wh = buf[:, :n], buf[:, n:]
     sqrt_dt = math.sqrt(grid.dt)
     # the L_c @ Z product of one block; L_c is all zeros when degenerate
@@ -336,19 +346,23 @@ def simulate_joint_paths(grid: SimGrid, H: float, n_paths: int, seed: int) -> Pa
         wh=wh,
         factorization=method,
         jitter=jitter,
+        first_block=first_block,
     )
 
 
-def orthogonal_increments(grid: SimGrid, n_paths: int, seed: int) -> np.ndarray:
+def orthogonal_increments(
+    grid: SimGrid, n_paths: int, seed: int, first_block: int = 0
+) -> np.ndarray:
     """Increments of a Brownian motion independent of simulate_joint_paths.
 
     Same block engine, separate stream leg under the same seed; used for the
     leg orthogonal to the vol-driving noise (log-Euler cross checks only,
-    the mixing estimators integrate it out analytically).
+    the mixing estimators integrate it out analytically). Row i belongs to
+    path first_block * 4096 + i, as in simulate_joint_paths.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = _block_normals(seed, 0, _LEG_ORTHOGONAL, (n_paths, grid.n_steps))
+    out = _block_normals(seed, first_block, _LEG_ORTHOGONAL, (n_paths, grid.n_steps))
     np.multiply(out, math.sqrt(grid.dt), out=out)
     out.flags.writeable = False
     return out

@@ -118,6 +118,10 @@ class SigmaPath:
     int_sdw : (n_paths, n_steps) running int_0^{t_k} sigma_u dW_u, left-point
         (Ito) rule. Both integrals start from sigma(0) = sigma0 over the first
         cell since W^H_0 = 0.
+
+    The grid is where the values are read, not always where they were
+    simulated: the runners keep only the last columns of a fine grid, as a
+    SigmaPath on the one-step grid SimGrid(t, 1).
     """
 
     grid: SimGrid

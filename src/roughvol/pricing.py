@@ -477,8 +477,9 @@ def log_euler_terminal(
 ) -> np.ndarray:
     """Terminal spot from a left-point log-Euler scheme on the same paths.
 
-    Draws the orthogonal Brownian leg deterministically from the batch seed,
-    so repeated calls reuse identical noise. Kept as an independent check on
+    Draws the orthogonal Brownian leg deterministically from the batch seed
+    and first block, so repeated calls reuse identical noise and each row
+    gets the leg of its own path. Kept as an independent check on
     the conditional estimators, not for production use.
     """
     if sig.grid is not batch.grid and (
@@ -487,7 +488,7 @@ def log_euler_terminal(
         raise ValueError("sigma path and batch must share one grid")
     if sig.n_paths != batch.n_paths:
         raise ValueError("sigma path and batch must have the same path count")
-    db = orthogonal_increments(batch.grid, batch.n_paths, batch.seed)
+    db = orthogonal_increments(batch.grid, batch.n_paths, batch.seed, batch.first_block)
     left = np.empty_like(sig.sigma)
     left[:, 0] = p.sigma0
     left[:, 1:] = sig.sigma[:, :-1]

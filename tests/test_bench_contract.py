@@ -34,6 +34,19 @@ SPECS = {
             "maturities": [0.01, 0.05],
         },
     },
+    # more paths than one group of the runners' path engine
+    "skew-ratio-groups": {
+        "kind": "experiment",
+        "experiment": "skew-ratio",
+        "config": {
+            "experiment": "skew-ratio",
+            "model": MODEL,
+            "seed": 20_260_815,
+            "n_paths": 20480,
+            "n_steps": 16,
+            "maturities": [0.01, 0.05],
+        },
+    },
     "power-law": {
         "kind": "experiment",
         "experiment": "power-law",
@@ -119,3 +132,11 @@ def test_traced_child_feeds_every_layer_metric(shape, tmp_path, bench_run):
     assert metrics["stats.delta_method_calls"] > 0
     if shape != "dupire-grid":
         assert metrics["pricing.implied_vol_calls"] > 0
+    if shape == "skew-ratio-groups":
+        # the runner calls the wrapped names once per 16384-path group, so the
+        # array gauges read one group's (dW, W^H) and (sigma, V, M) bytes
+        group, n = 4 * 4096, 16
+        assert sum(name == "gaussian.simulate" for name, *_ in trace["spans"]) == 2 * 2
+        assert metrics["gaussian.array_mb"] == group * 2 * n * 8 / 1e6
+        assert metrics["models.array_mb"] == group * 3 * n * 8 / 1e6
+        assert metrics["gaussian.matmul_gflop"] == pytest.approx(2 * 4.0 * n * n * 20480 / 1e9)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,6 +22,8 @@ from roughvol.experiments import (
     run_skew_ratio,
     write_outputs,
 )
+from roughvol.gaussian import SimGrid, simulate_joint_paths
+from roughvol.models import bergomi_sigma_path
 from roughvol.pricing import ImpliedVolBoundsError, implied_skew_digital
 
 TINY = {"n_paths": 1500, "n_steps": 8}
@@ -301,6 +304,32 @@ class TestEstimatorFailures:
         result = run_power_law(config)
         assert np.isnan(result.table["curv_iv"][0])
         assert [p.name for p in write_outputs(result)] == ["power-law.csv", "power-law.meta.json"]
+
+
+class TestSimulate:
+    def test_groups_keep_the_terminal_columns_bitwise(self):
+        # two groups: four full blocks, then one full block and a partial one
+        n_paths, t = 37768, 0.05
+        config = ExperimentConfig.from_mapping("skew-ratio", {"n_paths": n_paths, "n_steps": 16})
+        p = config.bergomi_params()
+        sig = experiments._simulate(p, config, 2, t, {})
+        batch = simulate_joint_paths(SimGrid(t, 16), p.hurst, n_paths, config.maturity_seed(2))
+        full = bergomi_sigma_path(batch, p)
+        assert sig.grid == SimGrid(t, 1)
+        assert sig.terminal_sigma().tobytes() == full.sigma[:, -1].tobytes()
+        assert sig.total_var().tobytes() == full.total_var().tobytes()
+        assert sig.total_sdw().tobytes() == full.total_sdw().tobytes()
+
+    def test_desk_scale_maturity_holds_one_group(self):
+        # one 65536 x 256 maturity held as one batch peaks at 672 MB of arrays
+        config = ExperimentConfig.from_mapping("skew-ratio", {"n_paths": 65536, "n_steps": 256})
+        tracemalloc.start()
+        try:
+            experiments._simulate(config.bergomi_params(), config, 0, 0.05, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
 
 
 class TestFactorization:

@@ -131,6 +131,21 @@ class TestSimulateJointPaths:
         assert np.array_equal(small.wh, large.wh[:10])
         assert np.array_equal(small.dW, large.dW[:10])
 
+    # a group ends on a block boundary or at the last path, as in the runners
+    @pytest.mark.parametrize("first_block,n_paths", [(1, 4096), (2, 4096 + 7), (3, 7)])
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    def test_group_is_the_rows_of_the_full_batch(self, H, first_block, n_paths):
+        g = SimGrid(0.3, 8)
+        full = simulate_joint_paths(g, H, 3 * 4096 + 7, seed=17)
+        group = simulate_joint_paths(g, H, n_paths, seed=17, first_block=first_block)
+        rows = slice(first_block * 4096, first_block * 4096 + n_paths)
+        assert group.first_block == first_block
+        assert group.dW.tobytes() == full.dW[rows].tobytes()
+        assert group.wh.tobytes() == full.wh[rows].tobytes()
+        # the orthogonal leg of the same rows
+        ortho = orthogonal_increments(g, n_paths, seed=17, first_block=first_block)
+        assert ortho.tobytes() == orthogonal_increments(g, 3 * 4096 + 7, seed=17)[rows].tobytes()
+
     def test_different_seeds_differ(self):
         g = SimGrid(1.0, 16)
         a = simulate_joint_paths(g, 0.2, 10, seed=1)

@@ -237,6 +237,15 @@ class TestMixingEstimators:
         # conditioning must not lose accuracy but should cut the error
         assert se < se_ind
 
+    def test_log_euler_of_a_group_reads_its_own_orthogonal_leg(self):
+        # the batch's first block selects the orthogonal rows, not block 0
+        g, n_paths = SimGrid(0.1, 8), 2 * 4096 + 5
+        full = simulate_joint_paths(g, BERGOMI.hurst, n_paths, seed=3)
+        group = simulate_joint_paths(g, BERGOMI.hurst, 4096 + 5, seed=3, first_block=1)
+        s_full = log_euler_terminal(bergomi_sigma_path(full, BERGOMI), full, BERGOMI)
+        s_group = log_euler_terminal(bergomi_sigma_path(group, BERGOMI), group, BERGOMI)
+        assert s_group.tobytes() == s_full[4096:].tobytes()
+
     def test_call_agrees_with_log_euler(self):
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.5)
         sig, batch = _simulated(p, t=0.1, steps=64, paths=40000, seed=11)

@@ -11,9 +11,8 @@ the maturity shrinks. For a volatility driver of Hurst index H:
   H-dependent coefficients (``curvature_bracket`` and 1/(2(H+1)));
 * both curvatures follow the same power law T^(2H - 1).
 
-This module exposes the limit constants (closed-form where the algebra is a
-one-liner, adaptive quadrature of the Volterra-kernel integrals for the
-rough Bergomi curvature) and a log-log fitter for measured term structures.
+This module exposes the limit constants, all in closed form, and a log-log
+fitter for measured term structures.
 """
 
 from __future__ import annotations
@@ -189,85 +188,35 @@ def local_curv_from_implied(
     )
 
 
-def _quad(func, lo: float, hi: float, epsrel: float) -> float:
-    from scipy import integrate
-
-    value, err = integrate.quad(func, lo, hi, epsrel=epsrel, limit=200)
-    if not np.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
-        raise ArithmeticError(
-            f"quadrature failed to converge (value={value}, err={err})"
-        )
-    return value
-
-
-def _curvature_terms(p: RoughBergomiParams) -> Tuple[float, float, float]:
-    """The three quadrature terms of the rough Bergomi curvature limit.
-
-    After scaling the time variables to [0, 1], the first Malliavin
-    derivative of sigma_u^2 integrates (conditionally on time-r information)
-    to the deterministic kernel
-
-        k1(r) = 2 nu sqrt(2H) sigma0^2 (1 - r)^(H+1/2) / (H + 1/2),
-
-    in the T -> 0 limit. The three terms are then
-
-        t1 = 1/(4 sigma0^5) * int_0^1 k1(r)^2 dr,
-        t2 = -3 rho^2/(2 sigma0^5) * (int_0^1 k1(r) dr)^2,
-        t3 = rho^2/sigma0^4 * (second-derivative double integral),
-
-    where t3 splits, via the product rule on D_s(sigma_r * int D_r sigma^2),
-    into a Beta-type 1-d integral (the D_s sigma_r piece, inner power
-    integral done in closed form) and a 2-d integral of (u-y)^(2H)/(H+1/2)
-    over 0 < y < u < 1 (the D_s D_r sigma^2 piece, reduced from three
-    dimensions by integrating the middle variable analytically).
-    """
-    h, nu, rho, s0 = p.hurst, p.nu, p.rho, p.sigma0
-    if nu == 0.0:
-        return 0.0, 0.0, 0.0
-    c_k1 = 2.0 * nu * math.sqrt(2.0 * h) * s0**2 / (h + 0.5)
-
-    def k1(r: float) -> float:
-        return c_k1 * (1.0 - r) ** (h + 0.5)
-
-    t1 = _quad(lambda r: k1(r) ** 2, 0.0, 1.0, 1e-10) / (4.0 * s0**5)
-    t2 = (
-        -1.5 * rho**2 / s0**5 * _quad(k1, 0.0, 1.0, 1e-10) ** 2
-    )
-
-    c3 = 2.0 * h * nu**2 * s0**3
-    piece_a = (
-        2.0
-        * c3
-        / (h + 0.5) ** 2
-        * _quad(lambda x: (x * (1.0 - x)) ** (h + 0.5), 0.0, 1.0, 1e-10)
-    )
-    from scipy import integrate
-
-    piece_b_val, piece_b_err = integrate.dblquad(
-        lambda u, y: (u - y) ** (2.0 * h) / (h + 0.5),
-        0.0,
-        1.0,
-        lambda y: y,
-        1.0,
-        epsrel=1e-8,
-    )
-    if not np.isfinite(piece_b_val) or piece_b_err > 1e-6:
-        raise ArithmeticError(
-            f"quadrature failed to converge (value={piece_b_val}, "
-            f"err={piece_b_err})"
-        )
-    t3 = rho**2 / s0**4 * (piece_a + 4.0 * c3 * piece_b_val)
-    return t1, t2, t3
-
-
 def bergomi_curvature_limit(p: RoughBergomiParams) -> float:
     """Limit of T^(1-2H) * ATM implied curvature in the rough Bergomi model.
 
-    Sum of the three kernel integrals of ``_curvature_terms``. The first
-    term survives at rho = 0; the other two carry rho^2, so the limit is
-    even in rho. At H = 1/2 the sum collapses to nu^2/sigma0 (1/3 - rho^2/2).
+    With time scaled to [0, 1], the time integral of the first Malliavin
+    derivative of sigma_u^2 tends, as T -> 0, to the kernel
+    k1(r) = 2 nu sqrt(2H) sigma0^2 (1 - r)^(H+1/2) / (H + 1/2), and the limit
+    is the sum of three kernel integrals, each elementary or a Beta function:
+
+        t1 = 1/(4 sigma0^5) int_0^1 k1^2 = H nu^2 / (sigma0 (H+1/2)^2 (H+1)),
+        t2 = -3 rho^2/(2 sigma0^5) (int_0^1 k1)^2
+           = -12 H rho^2 nu^2 / (sigma0 (H+1/2)^2 (H+3/2)^2),
+        t3 = (2 H rho^2 nu^2 / sigma0) [2 B(H+3/2, H+3/2) / (H+1/2)^2
+             + 4 / ((H+1/2)(2H+1)(2H+2))].
+
+    t3 is the second-derivative term: the D_s sigma_r piece gives the Beta
+    function, the D_s D_r sigma^2 piece the integral of (u-y)^(2H)/(H+1/2)
+    over 0 < y < u < 1. The first term survives at rho = 0; the other two
+    carry rho^2, so the limit is even in rho. At H = 1/2 the sum collapses
+    to nu^2/sigma0 (1/3 - rho^2/2).
     """
-    return float(sum(_curvature_terms(p)))
+    h, nu, rho, s0 = p.hurst, p.nu, p.rho, p.sigma0
+    a = h + 0.5
+    beta = math.gamma(a + 1.0) ** 2 / math.gamma(2.0 * a + 2.0)
+    t1 = h * nu**2 / (s0 * a**2 * (h + 1.0))
+    t2 = -12.0 * h * rho**2 * nu**2 / (s0 * a**2 * (h + 1.5) ** 2)
+    t3 = (2.0 * h * rho**2 * nu**2 / s0) * (
+        2.0 * beta / a**2 + 4.0 / (a * (2.0 * h + 1.0) * (2.0 * h + 2.0))
+    )
+    return t1 + t2 + t3
 
 
 def sabr_curvature_gap(p: SabrParams) -> float:

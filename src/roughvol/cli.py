@@ -1,7 +1,8 @@
 """Command-line entry point for the smile-asymptotics experiments.
 
 Exit codes: 0 on success, 2 on configuration errors (reported before any
-compute), 3 on numerical failure (non-convergence or flagged estimates).
+compute), 3 on numerical failure (non-convergence, flagged estimates, or
+path arrays too large for the host).
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ def _selftest(args: argparse.Namespace) -> int:
     if errors:
         print(f"config error: {'; '.join(errors)}", file=sys.stderr)
         return 2
-    checks = run_selftest(**kwargs)
+    try:
+        checks = run_selftest(**kwargs)
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return 3
     for check in checks:
         status = "ok  " if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")
@@ -116,7 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         result = run_experiment(config)
         written = write_outputs(result)
-    except (ArithmeticError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

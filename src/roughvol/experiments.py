@@ -462,8 +462,9 @@ def _ladder(
     ``row(i, t)`` returns the values of every column after ``T`` and its
     flags for ladder entry i. An estimator failure at one maturity (a
     ValueError such as an implied vol outside the no-arbitrage bounds or a
-    strike without density mass, or an ArithmeticError) leaves that row NaN
-    and raises a flag instead of ending the run. Repeated flags are kept once.
+    strike without density mass, an ArithmeticError, or a MemoryError from
+    path arrays too large for the host) leaves that row NaN and raises a
+    flag instead of ending the run. Repeated flags are kept once.
     """
     table = {name: np.full(config.maturities.size, np.nan) for name in columns}
     flags: List[str] = []
@@ -472,7 +473,7 @@ def _ladder(
         table["T"][i] = t
         try:
             values, row_flags = row(i, t)
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             row_flags = [f"T={t:.6g}: estimator failed: {exc}"]
         else:
             for name, value in zip(columns[1:], values):
@@ -497,23 +498,22 @@ def _skew_ratio_with_se(
     return delta_method(features, lambda m: law.implied_skew(m[:2], k) / law.local_skew(m[2:], k))
 
 
-def _skew_and_transfer(
+def _transfer_with_se(
     sig: SigmaPath, p: RoughBergomiParams, t: float, h: float
-) -> Tuple[float, float, float, float]:
-    """(skew_iv, se, transfer, se) at maturity t, off one feature matrix.
+) -> Tuple[float, float]:
+    """Scaled curvature-transfer residual at maturity t and its joint SE.
 
-    skew_iv is ``implied_skew_digital`` (same columns, same bytes). The
-    scaled transfer residual local_curv_from_implied(H, sigma0, (T^(1/2-H)
-    skew_iv)^2, T^(1-2H) curv_iv) - T^(1-2H) curv_lv tends to 0; its SE comes
-    from one delta method over the calls at s0 e^{-h}, s0, s0 e^{h}, the ATM
-    digital and the densities ``ConditionalLaw.local_curvature`` reads.
+    The residual local_curv_from_implied(H, sigma0, (T^(1/2-H) skew_iv)^2,
+    T^(1-2H) curv_iv) - T^(1-2H) curv_lv tends to 0, with skew_iv the map of
+    ``implied_skew_digital``. Its SE comes from one delta method over the
+    calls at s0 e^{-h}, s0, s0 e^{h}, the ATM digital and the densities
+    ``ConditionalLaw.local_curvature`` reads.
     """
     law = ConditionalLaw(sig, p, t)
     s0 = p.s0
     km, kp = s0 * math.exp(-h), s0 * math.exp(h)
-    atm = [law.call(s0), law.digital(s0)]
     features = np.column_stack(
-        [law.call(km), atm[0], law.call(kp), atm[1], law.density(kp), law.density(km)]
+        [law.call(km), law.call(s0), law.call(kp), law.digital(s0), law.density(kp), law.density(km)]
     )
     curv_scale = t ** (1.0 - 2.0 * p.hurst)
     skew_scale = t ** (0.5 - p.hurst)
@@ -533,8 +533,7 @@ def _skew_and_transfer(
         predicted = local_curv_from_implied(p.hurst, p.sigma0, skew_sq, curv_iv)
         return predicted - curv_scale * law.local_curvature(m[4:], h)
 
-    skew = delta_method(np.column_stack(atm), lambda m: law.implied_skew(m, s0))
-    return skew + delta_method(features, residual)
+    return delta_method(features, residual)
 
 
 def _fd_bump(config: ExperimentConfig, t: float) -> float:
@@ -712,8 +711,8 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
 
     Per maturity: implied curvature from a three-strike smile slice and
     local curvature from the analytic-skew difference, on the same paths
-    with a sqrt(T)-scaled log-strike bump, and the digital implied ATM skew
-    and transfer residual of ``_skew_and_transfer``. Both curvature series
+    with a sqrt(T)-scaled log-strike bump, the digital implied ATM skew, and
+    the transfer residual of ``_transfer_with_se``. Both curvature series
     are fitted on the short-end window; the exponents and their difference
     land in the meta output. A series that admits no fit raises a flag
     instead.
@@ -728,8 +727,9 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         strikes = p.s0 * np.exp(np.array([-h, 0.0, h]))
         curv_iv = implied_curvature_fd(mixing_smile_slice(sig, p, t, strikes))
         curv_lv = local_vol_curvature_fd(sig, p, t, h)
+        skew = implied_skew_digital(sig, p, t)
         values = (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error)
-        return values + _skew_and_transfer(sig, p, t, h), []
+        return values + (skew.value, skew.std_error) + _transfer_with_se(sig, p, t, h), []
 
     cols, flags = _ladder(config, _POWER_COLUMNS, row)
     flags += _factorization_flags(factorization)
@@ -835,7 +835,7 @@ def _roundtrip_check() -> SelftestCheck:
     )
 
 
-def _fd_quadratic_check() -> SelftestCheck:
+def _fd_parabola_check() -> SelftestCheck:
     s0, h = 100.0, 0.05
     x = np.array([-h, 0.0, h])
     vols = 0.25 - 0.21 * x + 0.8 * x**2
@@ -923,7 +923,7 @@ def run_selftest(
     """
     return [
         _roundtrip_check(),
-        _fd_quadratic_check(),
+        _fd_parabola_check(),
         _volterra_moment_check(seed, n_paths, n_steps),
         _martingale_parity_check((seed + 1) % 2**64, n_paths, n_steps),
         _deterministic_vol_check((seed + 2) % 2**64, n_paths, n_steps),

@@ -357,7 +357,7 @@ def orthogonal_increments(
 
     Same block engine, separate stream leg under the same seed; used for the
     leg orthogonal to the vol-driving noise (log-Euler cross checks only,
-    the mixing estimators integrate it out analytically). Row i belongs to
+    the mixing estimators condition it out analytically). Row i belongs to
     path first_block * 4096 + i, as in simulate_joint_paths.
     """
     if n_paths < 1:

@@ -23,6 +23,9 @@ _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 14.0
 _MARGIN_TOP = 30.0
 _MARGIN_BOTTOM = 46.0
+_WIDTH = 640
+_HEIGHT = 420
+_X_LABEL = "T"
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,8 @@ class PlotStyle:
     """Axis and canvas options for ``render_line_plot``."""
 
     title: str = ""
-    x_label: str = "T"
-    y_label: str = ""
     x_log: bool = True
     y_log: bool = False
-    width: int = 640
-    height: int = 420
 
 
 def _fmt(value: float) -> str:
@@ -157,17 +156,17 @@ def render_line_plot(
     if not series:
         raise ValueError("nothing to plot: no series given")
     x_lo, x_hi, y_lo, y_hi = _data_bounds(series, [v for _, v in ref_lines], style)
-    width, height = float(style.width), float(style.height)
+    width, height = float(_WIDTH), float(_HEIGHT)
     x_axis = _Axis(x_lo, x_hi, _MARGIN_LEFT, width - _MARGIN_RIGHT, style.x_log)
     y_axis = _Axis(y_lo, y_hi, height - _MARGIN_BOTTOM, _MARGIN_TOP, style.y_log)
 
     out: List[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{style.width}" height="{style.height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if style.title:
         out.append(
             f'<text x="{_fmt(width / 2)}" y="18" text-anchor="middle" '
@@ -209,15 +208,8 @@ def render_line_plot(
     out.append(
         f'<text x="{_fmt((frame[0] + frame[2]) / 2)}" y="{_fmt(height - 8)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-        f"{escape(style.x_label)}</text>"
+        f"{_X_LABEL}</text>"
     )
-    if style.y_label:
-        cy = (frame[1] + frame[3]) / 2
-        out.append(
-            f'<text x="14" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 14 {_fmt(cy)})">{escape(style.y_label)}</text>'
-        )
 
     for label, value in ref_lines:
         if style.y_log and value <= 0:

@@ -2,9 +2,10 @@
 
 Each one computes a quantity the library also computes, by a different
 route: the Volterra autocovariance by adaptive quadrature instead of the
-hypergeometric closed form, the digital as a plain mean of the conditional
-column, and the call from the log-Euler terminal spot instead of the mixing
-representation.
+hypergeometric closed form, the rough Bergomi curvature limit by quadrature
+of its kernel integrals instead of their Beta-function reductions, the
+digital as a plain mean of the conditional column, and the call from the
+log-Euler terminal spot instead of the mixing representation.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from roughvol._stats import mean_and_se
+from roughvol.models import RoughBergomiParams
 from roughvol.pricing import ConditionalLaw, log_euler_terminal
 
 
@@ -35,6 +37,77 @@ def volterra_autocovariance_quad(t: float, s: float, H: float) -> float:
 
     val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
     return lo**a / a * val
+
+
+def _quad(func, lo: float, hi: float, epsrel: float) -> float:
+    from scipy import integrate
+
+    value, err = integrate.quad(func, lo, hi, epsrel=epsrel, limit=200)
+    if not np.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
+        raise ArithmeticError(
+            f"quadrature failed to converge (value={value}, err={err})"
+        )
+    return value
+
+
+def bergomi_curvature_terms_quad(p: RoughBergomiParams) -> tuple[float, float, float]:
+    """The three quadrature terms of the rough Bergomi curvature limit.
+
+    After scaling the time variables to [0, 1], the first Malliavin
+    derivative of sigma_u^2 integrates (conditionally on time-r information)
+    to the deterministic kernel
+
+        k1(r) = 2 nu sqrt(2H) sigma0^2 (1 - r)^(H+1/2) / (H + 1/2),
+
+    in the T -> 0 limit. The three terms are then
+
+        t1 = 1/(4 sigma0^5) * int_0^1 k1(r)^2 dr,
+        t2 = -3 rho^2/(2 sigma0^5) * (int_0^1 k1(r) dr)^2,
+        t3 = rho^2/sigma0^4 * (second-derivative double integral),
+
+    where t3 splits, via the product rule on D_s(sigma_r * int D_r sigma^2),
+    into a Beta-type 1-d integral (the D_s sigma_r piece, inner power
+    integral done in closed form) and a 2-d integral of (u-y)^(2H)/(H+1/2)
+    over 0 < y < u < 1 (the D_s D_r sigma^2 piece, reduced from three
+    dimensions by integrating the middle variable analytically).
+    """
+    h, nu, rho, s0 = p.hurst, p.nu, p.rho, p.sigma0
+    if nu == 0.0:
+        return 0.0, 0.0, 0.0
+    c_k1 = 2.0 * nu * math.sqrt(2.0 * h) * s0**2 / (h + 0.5)
+
+    def k1(r: float) -> float:
+        return c_k1 * (1.0 - r) ** (h + 0.5)
+
+    t1 = _quad(lambda r: k1(r) ** 2, 0.0, 1.0, 1e-10) / (4.0 * s0**5)
+    t2 = (
+        -1.5 * rho**2 / s0**5 * _quad(k1, 0.0, 1.0, 1e-10) ** 2
+    )
+
+    c3 = 2.0 * h * nu**2 * s0**3
+    piece_a = (
+        2.0
+        * c3
+        / (h + 0.5) ** 2
+        * _quad(lambda x: (x * (1.0 - x)) ** (h + 0.5), 0.0, 1.0, 1e-10)
+    )
+    from scipy import integrate
+
+    piece_b_val, piece_b_err = integrate.dblquad(
+        lambda u, y: (u - y) ** (2.0 * h) / (h + 0.5),
+        0.0,
+        1.0,
+        lambda y: y,
+        1.0,
+        epsrel=1e-8,
+    )
+    if not np.isfinite(piece_b_val) or piece_b_err > 1e-6:
+        raise ArithmeticError(
+            f"quadrature failed to converge (value={piece_b_val}, "
+            f"err={piece_b_err})"
+        )
+    t3 = rho**2 / s0**4 * (piece_a + 4.0 * c3 * piece_b_val)
+    return t1, t2, t3
 
 
 def mc_digital(sig, p, t: float, k: float) -> tuple[float, float]:

@@ -1,23 +1,25 @@
 """Tests for short-maturity limit constants and power-law fitting.
 
-The quadrature-based rough Bergomi curvature limit is checked against
-independent closed-form reductions of each term (Beta-function algebra),
-against the H = 1/2 collapse to the lognormal-SABR value, and against the
-uncorrelated special case. The skew limit is checked against a direct
-2-d quadrature of its defining kernel integral.
+The closed-form rough Bergomi curvature limit is checked against an
+independent adaptive quadrature of its three kernel integrals
+(``oracles.bergomi_curvature_terms_quad``), against the H = 1/2 collapse to
+the lognormal-SABR value, and against the uncorrelated special case. The
+skew limit is checked against a direct 2-d quadrature of its defining
+kernel integral.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import beta as beta_fn
 
+from oracles import bergomi_curvature_terms_quad
 from roughvol.asymptotics import (
     PowerLawFit,
     TermSeries,
-    _curvature_terms,
     bergomi_curvature_limit,
     bergomi_skew_limit,
     curvature_bracket,
@@ -157,42 +159,34 @@ class TestCurvatureTransfer:
             local_curv_from_implied(0.2, 0.3, -0.1, 1.0)
 
 
-def term_closed_forms(p: RoughBergomiParams) -> tuple[float, float, float]:
-    """Beta-function reductions of the three curvature-limit terms."""
-    h, nu, rho, s0 = p.hurst, p.nu, p.rho, p.sigma0
-    t1 = h * nu**2 / (s0 * (h + 0.5) ** 2 * (h + 1.0))
-    t2 = -12.0 * h * rho**2 * nu**2 / (s0 * (h + 0.5) ** 2 * (h + 1.5) ** 2)
-    t3 = (2.0 * h * rho**2 * nu**2 / s0) * (
-        2.0 * beta_fn(h + 1.5, h + 1.5) / (h + 0.5) ** 2
-        + 4.0 / ((h + 0.5) * (2.0 * h + 1.0) * (2.0 * h + 2.0))
-    )
-    return t1, t2, t3
+def assert_matches_oracle(p: RoughBergomiParams) -> None:
+    # The quadrature errs per term; at rho != 0 the terms partly cancel, so
+    # the tolerance scales with their absolute sum, not with the limit.
+    terms = bergomi_curvature_terms_quad(p)
+    got = bergomi_curvature_limit(p)
+    assert abs(got - sum(terms)) < 1e-8 * sum(map(abs, terms)), (p, got, terms)
 
 
 class TestBergomiCurvatureLimit:
-    @pytest.mark.parametrize("hurst", [0.2, 0.35, 0.5])
+    @pytest.mark.parametrize("hurst", [0.02, 0.2, 0.35, 0.5, 0.98])
     def test_terms_match_closed_forms(self, hurst):
-        p = bergomi(hurst)
-        got = _curvature_terms(p)
-        want = term_closed_forms(p)
-        for g, w in zip(got, want):
-            assert abs(g - w) < 1e-8 * abs(w), (hurst, got, want)
+        for rho in (0.0, -0.6):
+            assert_matches_oracle(bergomi(hurst, rho=rho))
 
     def test_uncorrelated_half_value(self):
         # only the first term survives at rho = 0
         val = bergomi_curvature_limit(bergomi(0.5, rho=0.0))
-        assert abs(val - 1.21 * 0.5 / (0.3 * 1.0 * 1.5)) < 1e-8
+        assert abs(val - 1.21 * 0.5 / (0.3 * 1.0 * 1.5)) < 1e-12
         assert abs(val - 1.34444) < 1e-5
 
     def test_half_collapses_to_lognormal_sabr(self):
         p = bergomi(0.5)
         want = p.nu**2 / p.sigma0 * (1.0 / 3.0 - p.rho**2 / 2.0)
-        assert abs(bergomi_curvature_limit(p) - want) < 1e-8 * abs(want)
+        assert abs(bergomi_curvature_limit(p) - want) < 1e-12 * abs(want)
 
     def test_rough_total(self):
-        p = bergomi(0.2)
-        want = sum(term_closed_forms(p))
-        assert abs(bergomi_curvature_limit(p) - want) < 1e-8 * abs(want)
+        assert_matches_oracle(bergomi(0.2))
+        assert abs(bergomi_curvature_limit(bergomi(0.2)) - 0.55531857) < 1e-8
 
     def test_nu_zero(self):
         assert bergomi_curvature_limit(bergomi(0.2, nu=0.0)) == 0.0
@@ -201,6 +195,20 @@ class TestBergomiCurvatureLimit:
         plus = bergomi_curvature_limit(bergomi(0.2, rho=0.6))
         minus = bergomi_curvature_limit(bergomi(0.2, rho=-0.6))
         assert abs(plus - minus) < 1e-15
+
+    def test_needs_no_numerical_integration(self):
+        # The limit is arithmetic: computing it must not import scipy.integrate.
+        code = (
+            "import sys, roughvol\n"
+            "from roughvol.models import RoughBergomiParams\n"
+            "p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.2)\n"
+            "roughvol.bergomi_curvature_limit(p)\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSabrCurvatureGap:

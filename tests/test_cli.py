@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from roughvol import __version__
+from roughvol import __version__, experiments
 from roughvol.cli import main
 
 TINY_SKEW = {
@@ -214,6 +214,23 @@ class TestRuns:
         assert (out / "sabr-curvature.csv").exists()
         assert (out / "sabr-curvature.meta.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["skew-ratio", "power-law"])
+    def test_out_of_memory_exits_3_with_outputs(self, experiment, tmp_path, capsys, monkeypatch):
+        # an accepted n_paths can still need more memory than the host has
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 48.0 GiB")
+
+        monkeypatch.setattr(experiments, "simulate_joint_paths", no_memory)
+        out = tmp_path / "out"
+        code = main([experiment, "--steps", "4", "--format", "csv", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert captured.err.count("estimator failed: Unable to allocate 48.0 GiB") == 24
+        assert (out / f"{experiment}.csv").exists()
+        meta = json.loads((out / f"{experiment}.meta.json").read_text())
+        assert len(meta["flags"]) >= 24
+
 
 _VALID_MODELS = {
     "skew-ratio": dict(
@@ -294,6 +311,17 @@ class TestSelftestCommand:
         assert captured.err.startswith("config error: ")
         assert fragment in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 TiB")
+
+        monkeypatch.setattr(experiments, "simulate_joint_paths", no_memory)
+        code = main(["selftest", "--paths", "3000", "--steps", "16"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert "numerical failure: out of memory: Unable to allocate 2.00 TiB" in captured.err
 
     def test_largest_seed_runs(self, capsys):
         # the checks draw from seed, seed + 1 and seed + 2, wrapped to 64 bits

@@ -46,7 +46,7 @@ class TestRenderLinePlot:
     def test_deterministic_bytes(self):
         args = (
             [series([0.4, 0.5, 0.6, 0.7], label="a"), series([1.0, 0.9, 0.8, 0.7], label="b")],
-            PlotStyle(title="t", y_label="y"),
+            PlotStyle(title="t"),
             (("ref", 0.65),),
         )
         assert render_line_plot(*args) == render_line_plot(*args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -233,19 +233,17 @@ def sabr_curvature_gap(p: SabrParams) -> float:
     return p.rho**2 * p.nu**2 / (6.0 * p.alpha)
 
 
-def fit_power_law(
-    series: TermSeries,
-    window: Optional[Tuple[float, float]] = None,
-) -> PowerLawFit:
+# The power laws are short-end statements and the largest maturities leave
+# the asymptotic regime, so fits keep T <= 0.25 unless told otherwise.
+FIT_WINDOW: Tuple[float, float] = (0.0, 0.25)
+
+
+def fit_power_law(series: TermSeries, window: Tuple[float, float] = FIT_WINDOW) -> PowerLawFit:
     """Fit value ~ exp(intercept) * T^exponent on a maturity window.
 
-    Plain least squares on (log T, log |value|). The default window keeps
-    T <= 0.25: the power laws are short-end statements and the largest
-    maturities leave the asymptotic regime. Requires at least 4 points in
-    the window, all of one sign.
+    Plain least squares on (log T, log |value|). Requires at least 4 points
+    in the window, all of one sign.
     """
-    if window is None:
-        window = (0.0, 0.25)
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")

@@ -39,8 +39,8 @@ import scipy
 from . import __version__, gaussian
 from ._stats import delta_method
 from .asymptotics import (
-    PowerLawFit, TermSeries, fit_power_law, local_curv_from_implied, sabr_curvature_gap,
-    skew_ratio_limit,
+    FIT_WINDOW, PowerLawFit, TermSeries, fit_power_law, local_curv_from_implied,
+    sabr_curvature_gap, skew_ratio_limit,
 )
 from .gaussian import SimGrid, simulate_joint_paths, volterra_cross_covariance
 from .local_vol import local_vol_curvature_fd, mixing_local_vol, mixing_local_vol_skew
@@ -110,6 +110,9 @@ _INT_RANGES: Dict[str, Tuple[int, int]] = {
     "n_steps": (1, _MAX_STEPS),
     "seed": (0, 2**64 - 1),
 }
+# Longest min/max/count ladder: at the default 200000 paths a maturity takes
+# about 3.5 s on 2 cores, so 10000 of them already run about 10 hours.
+_MAX_LADDER = 10_000
 
 
 class ConfigError(ValueError):
@@ -130,9 +133,6 @@ class ExperimentConfig:
     n_paths: int
     n_steps: int
     seed: int
-    skew_bump: float
-    curvature_bump: float
-    window: Tuple[float, float]
     out_dir: str
     format: str
 
@@ -159,9 +159,6 @@ class ExperimentConfig:
             "n_paths": 200_000,
             "n_steps": 256,
             "seed": 20_260_815,
-            "skew_bump": 0.005,
-            "curvature_bump": 0.05,
-            "window": (0.0, 0.25),
             "out_dir": "out",
             "format": "csv+svg",
         }
@@ -223,9 +220,6 @@ class ExperimentConfig:
         n_paths, n_steps, seed = (
             _check_int(merged, key, *_INT_RANGES[key], errors) for key in _INT_RANGES
         )
-        skew_bump = _check_bump(merged, "skew_bump", errors)
-        curvature_bump = _check_bump(merged, "curvature_bump", errors)
-        window = _check_window(merged["window"], errors)
         if not (isinstance(merged["out_dir"], str) and merged["out_dir"]):
             errors.append("out_dir must be a non-empty string")
         if merged["format"] not in ("csv", "csv+svg"):
@@ -241,9 +235,6 @@ class ExperimentConfig:
             n_paths=n_paths,
             n_steps=n_steps,
             seed=seed,
-            skew_bump=skew_bump,
-            curvature_bump=curvature_bump,
-            window=window,
             out_dir=str(merged["out_dir"]),
             format=str(merged["format"]),
         )
@@ -267,9 +258,6 @@ class ExperimentConfig:
             "n_paths": self.n_paths,
             "n_steps": self.n_steps,
             "seed": self.seed,
-            "skew_bump": self.skew_bump,
-            "curvature_bump": self.curvature_bump,
-            "window": [self.window[0], self.window[1]],
             "out_dir": self.out_dir,
             "format": self.format,
         }
@@ -283,17 +271,18 @@ def _resolve_ladder(spec, errors: List[str]) -> np.ndarray:
             errors.append(f"maturities: unknown keys {sorted(extra)}")
             return fallback
         try:
-            lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["count"])
+            lo, hi, count = float(spec["min"]), float(spec["max"]), spec["count"]
         except (KeyError, TypeError, ValueError):
             errors.append("maturities: need numeric 'min', 'max' and integer 'count'")
             return fallback
         if not (0.0 < lo < hi and np.isfinite(hi)):
             errors.append(f"maturities: need 0 < min < max, got ({lo}, {hi})")
             return fallback
-        if count < 2:
+        if isinstance(count, int) and count < 2:
             errors.append(f"maturities: count must be >= 2, got {count}")
             return fallback
-        return np.geomspace(lo, hi, count)
+        # on an error _check_int returns 2, so no large ladder is ever built
+        return np.geomspace(lo, hi, _check_int(spec, "count", 2, _MAX_LADDER, errors))
     try:
         ladder = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
@@ -322,30 +311,6 @@ def _check_int(merged: Mapping, key: str, lo: int, hi: int, errors: List[str]) -
         errors.append(f"{key} must lie in [{lo}, {hi}], got {value}")
         return lo
     return value
-
-
-def _check_bump(merged: Mapping, key: str, errors: List[str]) -> float:
-    try:
-        value = float(merged[key])
-    except (TypeError, ValueError):
-        errors.append(f"{key} must be a number, got {merged[key]!r}")
-        return 0.01
-    if not (0.0 < value < 0.5):
-        errors.append(f"{key} must be a log-strike width in (0, 0.5), got {value}")
-        return 0.01
-    return value
-
-
-def _check_window(spec, errors: List[str]) -> Tuple[float, float]:
-    try:
-        lo, hi = float(spec[0]), float(spec[1])
-    except (TypeError, ValueError, IndexError):
-        errors.append(f"window must be a pair [lo, hi], got {spec!r}")
-        return (0.0, 0.25)
-    if not (0.0 <= lo < hi):
-        errors.append(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
-        return (0.0, 0.25)
-    return (lo, hi)
 
 
 def _peak_rss_mb() -> float:
@@ -536,13 +501,16 @@ def _transfer_with_se(
     return delta_method(features, residual)
 
 
+_CURVATURE_BUMP = 0.05  # log-strike half-width of curvature differences at T_top
+
+
 def _fd_bump(config: ExperimentConfig, t: float) -> float:
     """Log-strike half-width for curvature differences at maturity t.
 
-    The smile's natural width scales like sqrt(T), so the bump does too;
-    ``curvature_bump`` is the width used at the top of the ladder.
+    The smile's natural width scales like sqrt(T), so the bump does too,
+    from ``_CURVATURE_BUMP`` at the top of the ladder.
     """
-    return config.curvature_bump * math.sqrt(t / config.maturities[-1])
+    return _CURVATURE_BUMP * math.sqrt(t / config.maturities[-1])
 
 
 _SKEW_COLUMNS = ("T", "skew_iv", "se_iv", "skew_lv", "se_lv", "ratio", "se_ratio")
@@ -555,6 +523,9 @@ _POWER_COLUMNS = (
 )
 
 
+_SKEW_BUMP = 0.005  # log-strike half-width of the FD skew that checks the digital one
+
+
 def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
     """Implied and local ATM skew term structures and their ratio.
 
@@ -565,7 +536,7 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
     """
     start = time.perf_counter()
     p = config.bergomi_params()
-    strikes = p.s0 * np.exp(np.array([-config.skew_bump, 0.0, config.skew_bump]))
+    strikes = p.s0 * np.exp(np.array([-_SKEW_BUMP, 0.0, _SKEW_BUMP]))
     factorization: Dict[str, float] = {}
 
     def row(i: int, t: float):
@@ -681,17 +652,11 @@ def _fit_with_shrink(
         series.maturities[keep], series.values[keep], series.std_errors[keep], series.label
     )
     lo, hi = window
-    while True:
-        try:
-            return fit_power_law(series, (lo, hi))
-        except ValueError as exc:
-            if "sign" not in str(exc):
-                raise
-        mask = (series.maturities >= lo) & (series.maturities <= hi)
-        ts = series.maturities[mask]
-        vals = series.values[mask]
-        lead = np.sign(vals[0])
-        bad = np.nonzero((np.sign(vals) != lead) | (vals == 0.0))[0]
+    inside = (series.maturities >= lo) & (series.maturities <= hi)
+    ts, vals = series.maturities[inside], series.values[inside]
+    bad = np.nonzero((np.sign(vals) != np.sign(vals[:1])) | (vals == 0.0))[0]
+    # fewer than four points fail in fit_power_law, with its own message
+    if ts.size >= 4 and bad.size:
         cut = int(bad[0])
         if cut < 4:
             raise ArithmeticError(
@@ -704,6 +669,7 @@ def _fit_with_shrink(
         )
         warnings.warn(message, stacklevel=3)
         notes.append(message)
+    return fit_power_law(series, (lo, hi))
 
 
 def run_power_law(config: ExperimentConfig) -> ExperimentResult:
@@ -738,7 +704,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     for name, label in (("curv_iv", "implied ATM curvature"), ("curv_lv", "local ATM curvature")):
         series = TermSeries(cols["T"], cols[name], cols["se_" + name], label)
         try:
-            fits[name] = _fit_with_shrink(series, config.window, notes)
+            fits[name] = _fit_with_shrink(series, FIT_WINDOW, notes)
         except (ValueError, ArithmeticError) as exc:
             flags.append(f"{name}: no power-law fit: {exc}")
     plot_series = (

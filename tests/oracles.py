@@ -42,7 +42,7 @@ def volterra_autocovariance_quad(t: float, s: float, H: float) -> float:
 def _quad(func, lo: float, hi: float, epsrel: float) -> float:
     from scipy import integrate
 
-    value, err = integrate.quad(func, lo, hi, epsrel=epsrel, limit=200)
+    value, err = integrate.quad(func, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
     if not np.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):
         raise ArithmeticError(
             f"quadrature failed to converge (value={value}, err={err})"
@@ -99,7 +99,8 @@ def bergomi_curvature_terms_quad(p: RoughBergomiParams) -> tuple[float, float, f
         1.0,
         lambda y: y,
         1.0,
-        epsrel=1e-8,
+        epsabs=0.0,
+        epsrel=1e-10,
     )
     if not np.isfinite(piece_b_val) or piece_b_err > 1e-6:
         raise ArithmeticError(

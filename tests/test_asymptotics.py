@@ -160,11 +160,11 @@ class TestCurvatureTransfer:
 
 
 def assert_matches_oracle(p: RoughBergomiParams) -> None:
-    # The quadrature errs per term; at rho != 0 the terms partly cancel, so
-    # the tolerance scales with their absolute sum, not with the limit.
+    # The quadrature has no absolute floor, so it resolves the limit itself to
+    # 1e-10 even where the terms nearly cancel (H = 0.02, rho = -0.6).
     terms = bergomi_curvature_terms_quad(p)
     got = bergomi_curvature_limit(p)
-    assert abs(got - sum(terms)) < 1e-8 * sum(map(abs, terms)), (p, got, terms)
+    assert abs(got - sum(terms)) < 1e-10 * abs(sum(terms)), (p, got, terms)
 
 
 class TestBergomiCurvatureLimit:

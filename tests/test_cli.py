@@ -83,6 +83,27 @@ class TestConfigErrors:
         assert main(["skew-ratio", "--config", config]) == 2
         assert "config is for experiment" in capsys.readouterr().err
 
+    def test_removed_keys_exit_2_in_one_message(self, tmp_path, capsys):
+        payload = dict(TINY_SKEW, skew_bump=0.005, curvature_bump=0.05, window=[0.0, 0.25])
+        config = write_config(tmp_path, payload)
+        code = main(["skew-ratio", "--config", config, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("config error: ") == 1
+        for key in ("skew_bump", "curvature_bump", "window"):
+            assert f"unknown config key '{key}'" in err
+
+    @pytest.mark.parametrize("count", [2.9, "3", 10**12])
+    def test_bad_ladder_count_exits_2(self, tmp_path, capsys, count):
+        payload = {"maturities": {"min": 0.01, "max": 1.0, "count": count}}
+        config = write_config(tmp_path, payload)
+        code = main(["skew-ratio", "--config", config, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and "count must" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "skew-ratio.csv").exists()
+
     @pytest.mark.parametrize(
         "payload, fragment",
         [

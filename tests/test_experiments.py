@@ -43,7 +43,6 @@ class TestExperimentConfig:
         assert config.maturities[0] == pytest.approx(0.004)
         assert config.maturities[-1] == pytest.approx(1.0)
         assert config.model["hurst"] == 0.2
-        assert config.window == (0.0, 0.25)
         assert config.format == "csv+svg"
 
     def test_sabr_defaults(self):
@@ -135,6 +134,41 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=fragment):
             ExperimentConfig.from_mapping("skew-ratio", {"maturities": bad})
 
+    @pytest.mark.parametrize(
+        "count, fragment",
+        [
+            (2.9, "count must be an integer"),
+            ("3", "count must be an integer"),
+            (10**12, "count must lie in"),
+        ],
+    )
+    def test_bad_ladder_counts(self, count, fragment):
+        # refused before any ladder is built: 10**12 maturities would not fit in memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=fragment):
+                ExperimentConfig.from_mapping(
+                    "skew-ratio", {"maturities": {"min": 0.01, "max": 1.0, "count": count}}
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_largest_ladder_accepted(self):
+        spec = {"min": 0.01, "max": 1.0, "count": 10_000}
+        config = ExperimentConfig.from_mapping("skew-ratio", {"maturities": spec})
+        assert config.maturities.size == 10_000
+
+    @pytest.mark.parametrize(
+        "key, value", [("skew_bump", 0.005), ("curvature_bump", 0.05), ("window", [0.0, 0.25])]
+    )
+    def test_fixed_estimator_settings_are_not_keys(self, key, value):
+        # the estimator widths and the fit window are constants of the program
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_mapping("power-law", {key: value})
+        assert key not in ExperimentConfig.from_mapping("power-law").to_dict()
+
     def test_integral_float_accepted(self):
         config = ExperimentConfig.from_mapping("skew-ratio", {"n_paths": 2000.0})
         assert config.n_paths == 2000
@@ -147,10 +181,6 @@ class TestExperimentConfig:
             ("n_steps", 4096, "[1, 2048]"),
             ("seed", -1, "seed"),
             ("seed", 2**64, "seed"),
-            ("skew_bump", 0.0, "(0, 0.5)"),
-            ("curvature_bump", 0.7, "(0, 0.5)"),
-            ("window", [0.3, 0.1], "0 <= lo < hi"),
-            ("window", "wide", "pair"),
             ("out_dir", "", "non-empty"),
             ("format", "pdf", "format"),
         ],

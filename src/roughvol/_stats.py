@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,9 @@ def mean_and_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def delta_method(
-    features: np.ndarray, g: Callable[[np.ndarray], float]
+    features: np.ndarray,
+    g: Callable[[np.ndarray], float],
+    control: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """Value and SE of g(mean of per-path feature rows).
 
@@ -29,15 +31,32 @@ def delta_method(
     component's magnitude; the SE is the usual quadratic form against the
     sample covariance of the mean vector. Exact for affine g, first-order
     otherwise.
+
+    control, when given, is a per-path column with mean exactly 0. Each
+    feature mean is then corrected by its OLS regression on it,
+    m_j - beta_j mean(c) with beta = S_Fc / S_cc, and the covariance is the
+    residual one, the Schur complement S_FF - S_Fc S_cF / S_cc scaled by
+    (n - 1) / (n - 2) for the fitted beta. The control is skipped, and the
+    result is the plain one bit for bit, when n < 3 or S_cc == 0 (a control
+    that is identically zero carries no information).
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n, m = features.shape
     means = features.mean(axis=0)
-    value = float(g(means))
     if n < 2:
-        return value, float("inf")
-    cov = np.cov(features, rowvar=False, ddof=1).reshape(m, m) / n
-    sd = np.sqrt(np.diag(cov))
+        return float(g(means)), float("inf")
+    cov = None
+    if control is not None and n >= 3:
+        joint = np.cov(features, control, rowvar=False, ddof=1)
+        s_fc, s_cc = joint[:m, m], joint[m, m]
+        if s_cc > 0:
+            means = means - s_fc / s_cc * np.mean(control)
+            cov = (joint[:m, :m] - np.outer(s_fc, s_fc) / s_cc) * ((n - 1) / (n - 2) / n)
+    if cov is None:
+        cov = np.cov(features, rowvar=False, ddof=1).reshape(m, m) / n
+    value = float(g(means))
+    # a Schur complement can round a variance a hair below 0
+    sd = np.sqrt(np.maximum(np.diag(cov), 0.0))
     grad = np.zeros(m)
     for i in range(m):
         h = 1e-6 * max(abs(means[i]), sd[i] * math.sqrt(n), 1e-30)

@@ -110,7 +110,7 @@ _INT_RANGES: Dict[str, Tuple[int, int]] = {
     "n_steps": (1, _MAX_STEPS),
     "seed": (0, 2**64 - 1),
 }
-# Longest min/max/count ladder: at the default 200000 paths a maturity takes
+# Longest ladder, in either form: at the default 200000 paths a maturity takes
 # about 3.5 s on 2 cores, so 10000 of them already run about 10 hours.
 _MAX_LADDER = 10_000
 
@@ -291,6 +291,9 @@ def _resolve_ladder(spec, errors: List[str]) -> np.ndarray:
     if ladder.ndim != 1 or ladder.size == 0:
         errors.append("maturities list must be non-empty and one-dimensional")
         return fallback
+    if ladder.size > _MAX_LADDER:
+        errors.append(f"maturities list must hold at most {_MAX_LADDER} values, got {ladder.size}")
+        return fallback
     if not (np.all(ladder > 0) and np.all(np.isfinite(ladder))):
         errors.append("maturities must be positive and finite")
         return fallback
@@ -455,24 +458,32 @@ def _skew_ratio_with_se(
     Both skews come from the same paths, so the ratio's error must keep
     their correlation: the six per-path features (conditional call price,
     conditional digital, four density features) go through one delta method
-    whose map is the quotient of the two published skew maps.
+    whose map is the quotient of the two published skew maps. The means are
+    corrected by the same exact control as in ``implied_skew_digital`` and
+    ``mixing_local_vol_skew``, so the ratio is the quotient of their values.
     """
     law = ConditionalLaw(sig, p, t)
     k = p.s0
     features = np.column_stack([law.call(k), law.digital(k), law.density(k)])
-    return delta_method(features, lambda m: law.implied_skew(m[:2], k) / law.local_skew(m[2:], k))
+    return delta_method(
+        features, lambda m: law.implied_skew(m[:2], k) / law.local_skew(m[2:], k), law.control
+    )
 
 
-def _transfer_with_se(
+def _skew_and_transfer(
     sig: SigmaPath, p: RoughBergomiParams, t: float, h: float
-) -> Tuple[float, float]:
-    """Scaled curvature-transfer residual at maturity t and its joint SE.
+) -> Tuple[float, float, float, float]:
+    """ATM implied skew and scaled curvature-transfer residual at maturity t,
+    each with its joint SE: (skew_iv, se_iv, transfer, se_transfer).
 
     The residual local_curv_from_implied(H, sigma0, (T^(1/2-H) skew_iv)^2,
     T^(1-2H) curv_iv) - T^(1-2H) curv_lv tends to 0, with skew_iv the map of
     ``implied_skew_digital``. Its SE comes from one delta method over the
     calls at s0 e^{-h}, s0, s0 e^{h}, the ATM digital and the densities
-    ``ConditionalLaw.local_curvature`` reads.
+    ``ConditionalLaw.local_curvature`` reads. skew_iv is that map on the
+    ATM call and digital columns of the same matrix. Neither takes the
+    control: the curvature columns next to them are plain, and the transfer
+    reads skew_iv, curv_iv and curv_lv as one row.
     """
     law = ConditionalLaw(sig, p, t)
     s0 = p.s0
@@ -498,7 +509,8 @@ def _transfer_with_se(
         predicted = local_curv_from_implied(p.hurst, p.sigma0, skew_sq, curv_iv)
         return predicted - curv_scale * law.local_curvature(m[4:], h)
 
-    return delta_method(features, residual)
+    skew = delta_method(features[:, 1:4:2], lambda m: law.implied_skew(m, s0))
+    return skew + delta_method(features, residual)
 
 
 _CURVATURE_BUMP = 0.05  # log-strike half-width of curvature differences at T_top
@@ -677,8 +689,8 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
 
     Per maturity: implied curvature from a three-strike smile slice and
     local curvature from the analytic-skew difference, on the same paths
-    with a sqrt(T)-scaled log-strike bump, the digital implied ATM skew, and
-    the transfer residual of ``_transfer_with_se``. Both curvature series
+    with a sqrt(T)-scaled log-strike bump, and the digital implied ATM skew
+    and transfer residual of ``_skew_and_transfer``. Both curvature series
     are fitted on the short-end window; the exponents and their difference
     land in the meta output. A series that admits no fit raises a flag
     instead.
@@ -693,9 +705,8 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         strikes = p.s0 * np.exp(np.array([-h, 0.0, h]))
         curv_iv = implied_curvature_fd(mixing_smile_slice(sig, p, t, strikes))
         curv_lv = local_vol_curvature_fd(sig, p, t, h)
-        skew = implied_skew_digital(sig, p, t)
         values = (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error)
-        return values + (skew.value, skew.std_error) + _transfer_with_se(sig, p, t, h), []
+        return values + _skew_and_transfer(sig, p, t, h), []
 
     cols, flags = _ladder(config, _POWER_COLUMNS, row)
     flags += _factorization_flags(factorization)

@@ -98,13 +98,13 @@ def mixing_local_vol_skew(
 
     The derivative is taken through the density weights rather than by
     bumping the strike, so one simulation yields the skew directly; the
-    delta method over the four feature means gives the error. Method tag
-    "analytic".
+    delta method over the four feature means, corrected by the exact control
+    ``ConditionalLaw.control``, gives the error. Method tag "analytic".
     """
     law = ConditionalLaw(sig, p, t)
     feats = law.density(k)
     _check_weights(feats[:, 0], t, k)
-    value, se = delta_method(feats, lambda m: law.local_skew(m, k))
+    value, se = delta_method(feats, lambda m: law.local_skew(m, k), law.control)
     return SkewEstimate(maturity=t, value=value, std_error=se, method="analytic")
 
 

@@ -108,6 +108,8 @@ def implied_vol(price: float, s: float, k: float, t: float) -> float:
         ImpliedVolBoundsError: if the price is outside the open bounds; the
             message names the violated bound.
     """
+    # plain floats, so that messages print 0.0, not np.float64(0.0)
+    price, s, k, t = float(price), float(s), float(k), float(t)
     for name, val in (("price", price), ("spot", s), ("strike", k), ("maturity", t)):
         if not (np.isfinite(val) and (val > 0 or name == "price")):
             raise ValueError(f"{name} must be positive and finite, got {val!r}")
@@ -236,7 +238,8 @@ class ConditionalLaw:
     the per-path feature columns ``call``, ``digital`` and ``density`` and
     reads its value, and its standard error through the delta method, from a
     map of their means: ``implied_skew``, ``local_vol``, ``local_skew`` and
-    ``local_curvature``.
+    ``local_curvature``. The ATM skew estimators also pass ``control`` to
+    the delta method.
 
     The paths are read at maturity t, which must be a time of the grid of
     sig. With nu = 0 the volatility is deterministic and the law is exact,
@@ -268,6 +271,19 @@ class ConditionalLaw:
         # sigma_T^2 - sigma0^2: centring the local variance on sigma0^2 makes
         # the local-vol maps exact when sigma_T is constant.
         self.excess = sigma_t**2 - self.var0
+
+    @property
+    def control(self) -> np.ndarray:
+        """Per-path control column s_eff - s0, whose mean is exactly 0.
+
+        W^H at t_{k-1} is jointly Gaussian with the Brownian increments and
+        uncorrelated with those after t_{k-1}, so it is independent of them:
+        each left-point sigma is independent of its own dW. s_eff is then
+        the discrete exponential martingale s0 exp(rho M - rho^2 V / 2) of
+        the scheme, with E[s_eff] = s0 on any grid. At rho = 0 and at nu = 0
+        the column is identically 0 and ``delta_method`` skips it.
+        """
+        return self.s_eff - self.s0
 
     def call(self, k: float) -> np.ndarray:
         """Per-path conditional call prices: Black-Scholes at (s_eff, s_res)."""
@@ -413,13 +429,14 @@ def implied_skew_digital(
     """ATM implied skew in log-strike without finite differencing.
 
     The value is ``ConditionalLaw.implied_skew`` at the means of the ATM call
-    and digital columns. Its standard error is the joint delta method over
-    both, so the noise of the fitted implied vol is kept.
+    and digital columns, both corrected by the exact control
+    ``ConditionalLaw.control``. Its standard error is the joint delta method
+    over both, so the noise of the fitted implied vol is kept.
     """
     law = ConditionalLaw(sig, p, t)
     k = p.s0
     features = np.column_stack([law.call(k), law.digital(k)])
-    value, se = delta_method(features, lambda m: law.implied_skew(m, k))
+    value, se = delta_method(features, lambda m: law.implied_skew(m, k), law.control)
     return SkewEstimate(maturity=t, value=value, std_error=se, method="digital")
 
 

@@ -104,6 +104,15 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "skew-ratio.csv").exists()
 
+    def test_long_ladder_list_exits_2(self, tmp_path, capsys):
+        payload = {"maturities": [0.01 + 1e-5 * i for i in range(10_001)]}
+        config = write_config(tmp_path, payload)
+        code = main(["skew-ratio", "--config", config, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and "at most 10000 values, got 10001" in err
+        assert not (tmp_path / "skew-ratio.csv").exists()
+
     @pytest.mark.parametrize(
         "payload, fragment",
         [

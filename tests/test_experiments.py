@@ -10,6 +10,7 @@ import pytest
 
 import roughvol.experiments as experiments
 import roughvol.gaussian as gaussian
+from roughvol._stats import delta_method
 from roughvol.asymptotics import TermSeries, local_curv_from_implied, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
@@ -24,7 +25,7 @@ from roughvol.experiments import (
 )
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import bergomi_sigma_path
-from roughvol.pricing import ImpliedVolBoundsError, implied_skew_digital
+from roughvol.pricing import ConditionalLaw, ImpliedVolBoundsError, implied_skew_digital
 
 TINY = {"n_paths": 1500, "n_steps": 8}
 
@@ -159,6 +160,18 @@ class TestExperimentConfig:
         spec = {"min": 0.01, "max": 1.0, "count": 10_000}
         config = ExperimentConfig.from_mapping("skew-ratio", {"maturities": spec})
         assert config.maturities.size == 10_000
+
+    @pytest.mark.parametrize("form", ["range", "list"])
+    def test_ladder_cap_in_both_forms(self, form):
+        def spec(count):
+            if form == "range":
+                return {"min": 0.01, "max": 1.0, "count": count}
+            return np.geomspace(0.01, 1.0, count).tolist()
+
+        config = ExperimentConfig.from_mapping("skew-ratio", {"maturities": spec(10_000)})
+        assert config.maturities.size == 10_000
+        with pytest.raises(ConfigError, match="10000"):
+            ExperimentConfig.from_mapping("skew-ratio", {"maturities": spec(10_001)})
 
     @pytest.mark.parametrize(
         "key, value", [("skew_bump", 0.005), ("curvature_bump", 0.05), ("window", [0.0, 0.25])]
@@ -296,6 +309,23 @@ class TestRunSkewRatio:
         assert result.table["skew_lv"][0] == 0.0
 
 
+class TestSkewControl:
+    def test_controlled_errors_are_calibrated(self):
+        # across 40 seeds the scatter of the controlled ratio and implied
+        # skew matches their mean reported standard error
+        p = ExperimentConfig.from_mapping("skew-ratio").bergomi_params()
+        t, grid = 0.05, SimGrid(0.05, 64)
+        ratios, skews = [], []
+        for seed in range(40):
+            sig = bergomi_sigma_path(simulate_joint_paths(grid, p.hurst, 8192, seed), p)
+            ratios.append(experiments._skew_ratio_with_se(sig, p, t))
+            skew = implied_skew_digital(sig, p, t)
+            skews.append((skew.value, skew.std_error))
+        for pairs in (ratios, skews):
+            values, ses = np.array(pairs).T
+            assert 0.7 <= values.std(ddof=1) / ses.mean() <= 1.4
+
+
 class TestEstimatorFailures:
     def test_failure_at_one_maturity_is_a_nan_row_and_a_flag(self, monkeypatch):
         real = experiments.implied_skew_digital
@@ -312,6 +342,13 @@ class TestEstimatorFailures:
             assert np.isnan(result.table[name][1])
             assert np.all(np.isfinite(result.table[name][[0, 2]]))
         assert result.flags == ("T=0.1: estimator failed: price 0.0 is not below the spot",)
+
+    def test_flags_print_plain_floats(self):
+        # at T = 1e-300 every call mean is the intrinsic value 0.0
+        result = run_skew_ratio(tiny_config(maturities=[1e-300]))
+        assert len(result.flags) == 1
+        assert "price 0.0 does not exceed the intrinsic value 0.0" in result.flags[0]
+        assert "np.float64" not in result.flags[0]
 
     def test_power_law_without_a_fit_is_flagged(self, tmp_path):
         # three maturities cannot carry a four-point power-law fit
@@ -543,12 +580,16 @@ class TestRunPowerLaw:
             assert table["se_transfer"][i] > 0
 
     def test_skew_is_the_digital_estimator(self, result):
+        # the plain digital map on the row's own paths: the transfer beside
+        # it reads the same uncontrolled means
         config, p = result.config, result.config.bergomi_params()
         for i, t in enumerate(result.table["T"]):
             sig = experiments._simulate(p, config, i, float(t), {})
-            skew = implied_skew_digital(sig, p, float(t))
-            assert result.table["skew_iv"][i] == skew.value
-            assert result.table["se_iv"][i] == skew.std_error
+            law = ConditionalLaw(sig, p, float(t))
+            feats = np.column_stack([law.call(p.s0), law.digital(p.s0)])
+            value, se = delta_method(feats, lambda m: law.implied_skew(m, p.s0))
+            assert result.table["skew_iv"][i] == value
+            assert result.table["se_iv"][i] == se
 
     def test_fits_present(self, result):
         assert set(result.fits) == {"curv_iv", "curv_lv"}

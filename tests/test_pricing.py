@@ -86,6 +86,49 @@ class TestStats:
         assert v == pytest.approx(mu[0] / mu[1])
         assert se == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-5)
 
+    def test_control_removes_its_own_noise(self):
+        # s_eff with the exact control s_eff - s0 is s0 up to round-off. The
+        # residual variance S_FF - S_Fc^2 / S_cc cancels to about eps * S_FF,
+        # so the SE that is left sits near sqrt(eps) times the plain one.
+        law = ConditionalLaw(_simulated(BERGOMI)[0], BERGOMI, 0.25)
+        v, se = delta_method(law.s_eff[:, None], lambda m: m[0], law.control)
+        _, plain_se = delta_method(law.s_eff[:, None], lambda m: m[0])
+        assert v == pytest.approx(BERGOMI.s0, rel=1e-12)
+        assert plain_se > 0.01
+        assert se <= 1e-7 * plain_se
+
+    def test_control_is_the_residual_regression(self):
+        # means and covariance of the OLS residual features, written out
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=600)
+        feats = np.column_stack([2.0 + c + rng.normal(size=600), -1.0 - 0.5 * c])
+        a = np.array([1.5, -2.0])
+        v, se = delta_method(feats, lambda m: float(a @ m), c)
+        beta = np.array([np.cov(feats[:, j], c)[0, 1] / np.var(c, ddof=1) for j in range(2)])
+        resid = feats - np.outer(c - c.mean(), beta)
+        cov = np.cov(resid, rowvar=False) * (599 / 598) / 600
+        assert v == pytest.approx(a @ (feats.mean(axis=0) - beta * c.mean()), rel=1e-12)
+        assert se == pytest.approx(math.sqrt(a @ cov @ a), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "params, paths",
+        [
+            (RoughBergomiParams(s0=100.0, sigma0=0.3, nu=0.0, rho=-0.6, hurst=0.2), 500),
+            (RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=0.0, hurst=0.2), 500),
+            (BERGOMI, 2),
+        ],
+        ids=["nu=0", "rho=0", "n=2"],
+    )
+    def test_degenerate_control_is_skipped_bitwise(self, params, paths):
+        # nu = 0 holds two exact rows and rho = 0 makes s_eff = s0 on every
+        # path; both, and n = 2, give the plain result bit for bit
+        grid = SimGrid(0.25, 8)
+        sig = bergomi_sigma_path(simulate_joint_paths(grid, params.hurst, paths, 5), params)
+        law = ConditionalLaw(sig, params, 0.25)
+        feats = np.column_stack([law.call(100.0), law.digital(100.0)])
+        g = lambda m: m[0] / m[1]  # noqa: E731
+        assert delta_method(feats, g, law.control) == delta_method(feats, g)
+
     def test_weighted_level_fit_recovers_exact_model(self):
         t = np.array([0.01, 0.02, 0.05, 0.1, 0.2])
         vals = 0.7 + 1.3 * t**0.4
@@ -379,19 +422,24 @@ class TestSmileSlice:
         # the skew K (N(d2(I)) - D) / vega(I) reads the implied vol I of the
         # call mean, so its error is the delta method over (call, digital);
         # here with the analytic gradient: dN(d2)/dI = -phi(d2) sqrt(t) / 2 at
-        # the money and dvega/dI = vega d1 d2 / I
+        # the money and dvega/dI = vega d1 d2 / I. Both means and their
+        # covariance are those left after the regression on the control.
         sig, _ = _simulated(BERGOMI, t=t, steps=32)
         est = implied_skew_digital(sig, BERGOMI, t)
         law = ConditionalLaw(sig, BERGOMI, t)
         feats = np.column_stack([law.call(100.0), law.digital(100.0)])
-        call, digital = feats.mean(axis=0)
-        cov = np.cov(feats, rowvar=False) / feats.shape[0]
+        n = feats.shape[0]
+        joint = np.cov(feats, law.control, rowvar=False)
+        beta = joint[:2, 2] / joint[2, 2]
+        call, digital = feats.mean(axis=0) - beta * law.control.mean()
+        cov = (joint[:2, :2] - np.outer(joint[:2, 2], joint[:2, 2]) / joint[2, 2]) * (n - 1) / (n - 2) / n
         iv = implied_vol(call, 100.0, 100.0, t)
         vega = bs_vega(100.0, 100.0, t, iv)
         d1, d2 = (float(d) for d in bs_d1_d2(100.0, 100.0, t, iv))
         phi2 = math.exp(-0.5 * d2 * d2) / math.sqrt(2.0 * math.pi)
         ds_di = 100.0 * (-phi2 * math.sqrt(t) / 2.0 - (ndtr(d2) - digital) * d1 * d2 / iv) / vega
         grad = np.array([ds_di / vega, -100.0 / vega])
+        assert est.value == pytest.approx(100.0 * (ndtr(d2) - digital) / vega, rel=1e-12)
         assert est.std_error == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-9)
         # the digital-only error misses the noise of the fitted implied vol
         assert est.std_error > 100.0 * math.sqrt(cov[1, 1]) / vega

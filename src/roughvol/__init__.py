@@ -46,11 +46,9 @@ from roughvol.models import (
     SabrParams,
     SigmaPath,
     bergomi_sigma_path,
-    log_strike_convert,
+    sabr_atm_curvatures,
     sabr_implied_vol,
-    sabr_implied_vol_derivs,
     sabr_local_vol,
-    sabr_local_vol_derivs,
 )
 from roughvol.pricing import (
     ConditionalLaw,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
@@ -116,6 +117,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = ExperimentConfig.from_mapping(args.command, file_config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(
+            f"config error: cannot create output directory {config.out_dir!r}: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
     try:

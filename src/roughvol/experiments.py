@@ -49,9 +49,7 @@ from .models import (
     SabrParams,
     SigmaPath,
     bergomi_sigma_path,
-    log_strike_convert,
-    sabr_implied_vol_derivs,
-    sabr_local_vol_derivs,
+    sabr_atm_curvatures,
 )
 from .pricing import (
     ConditionalLaw,
@@ -591,9 +589,7 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
         columns=_SKEW_COLUMNS,
         table=cols,
         plot_series=series,
-        plot_style=PlotStyle(
-            title="ATM skews and implied/local ratio", x_log=True, y_log=False
-        ),
+        plot_style=PlotStyle(title="ATM skews and implied/local ratio"),
         ref_lines=((f"limit {limit:.4g}", limit),),
         flags=tuple(flags),
         wall_time=time.perf_counter() - start,
@@ -605,16 +601,15 @@ def run_sabr_curvature(config: ExperimentConfig) -> ExperimentResult:
     """Analytic lognormal-SABR curvature gap and ratio term structures.
 
     No Monte Carlo: local and implied log-strike curvatures at the money
-    come from the closed-form smiles, so every SE column is zero. The gap
-    column is (local curvature)/3 - implied curvature, whose short-end
-    limit is rho^2 nu^2 / (6 alpha).
+    are closed forms (sabr_atm_curvatures), so every SE column is zero.
+    The gap column is (local curvature)/3 - implied curvature, whose
+    short-end limit is rho^2 nu^2 / (6 alpha).
     """
     start = time.perf_counter()
     q = config.sabr_params()
 
     def row(i: int, t: float):
-        _, curv_lv = log_strike_convert(*sabr_local_vol_derivs(q.s0, q), q.s0)
-        _, curv_iv = log_strike_convert(*sabr_implied_vol_derivs(q.s0, t, q), q.s0)
+        curv_lv, curv_iv = sabr_atm_curvatures(q, t)
         if curv_lv == 0.0:
             ratio, flags = float("nan"), ["local curvature is zero, ratio undefined"]
         else:
@@ -642,7 +637,7 @@ def run_sabr_curvature(config: ExperimentConfig) -> ExperimentResult:
         columns=_SABR_COLUMNS,
         table=cols,
         plot_series=series,
-        plot_style=PlotStyle(title="SABR ATM curvature transfer", x_log=True),
+        plot_style=PlotStyle(title="SABR ATM curvature transfer"),
         ref_lines=tuple(refs),
         flags=tuple(flags),
         wall_time=time.perf_counter() - start,
@@ -731,9 +726,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         columns=_POWER_COLUMNS,
         table=cols,
         plot_series=plot_series,
-        plot_style=PlotStyle(
-            title="ATM curvature power laws", x_log=True, y_log=True
-        ),
+        plot_style=PlotStyle(title="ATM curvature power laws", y_log=True),
         ref_lines=(),
         fits=fits,
         flags=tuple(flags),
@@ -820,7 +813,7 @@ def _fd_parabola_check() -> SelftestCheck:
         maturity=0.5,
         strikes=s0 * np.exp(x),
         vols=vols,
-        std_errors=np.zeros(3),
+        vol_cov=np.zeros((3, 3)),
     )
     skew_err = abs(implied_skew_fd(sl).value - (-0.21))
     curv_err = abs(implied_curvature_fd(sl).value - 1.6)

@@ -4,8 +4,8 @@ Rough Bergomi builds sigma paths on simulated Volterra noise together with the
 running integrals every conditional (mixing) estimator needs. The three path
 arrays are filled in place, chunk of rows by chunk of rows on the path
 layer's thread pool, with no full-size temporary. SABR (beta = 1)
-is fully analytic here: local-vol equivalent, implied vol, and their strike
-derivatives, plus the strike <-> log-strike derivative conversion.
+is fully analytic here: local-vol equivalent, implied vol, and their ATM
+log-strike curvatures.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ __all__ = [
     "SigmaPath",
     "bergomi_sigma_path",
     "grid_step_index",
+    "sabr_atm_curvatures",
     "sabr_local_vol",
-    "sabr_local_vol_derivs",
     "sabr_implied_vol",
-    "sabr_implied_vol_derivs",
-    "log_strike_convert",
 ]
 
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
@@ -243,32 +241,6 @@ def sabr_local_vol(K: float, p: SabrParams) -> float:
     return p.alpha * math.sqrt(1.0 + 2.0 * p.rho * p.nu * y + p.nu**2 * y**2)
 
 
-def _sabr_overflow(name: str, p: SabrParams) -> OverflowError:
-    return OverflowError(f"{name} overflowed at nu={p.nu!r}, alpha={p.alpha!r}")
-
-
-def sabr_local_vol_derivs(K: float, p: SabrParams) -> tuple[float, float]:
-    """(d sigma/dK, d^2 sigma/dK^2) of the SABR local-vol equivalent.
-
-    With y'(K) = 1/(alpha K) and y''(K) = -1/(alpha K^2):
-        sigma'  = alpha^2 y' (rho nu + nu^2 y) / sigma
-        sigma'' = (alpha^2 y'' (rho nu + nu^2 y) + alpha^2 nu^2 y'^2 - sigma'^2) / sigma
-    """
-    if not (K > 0):
-        raise ValueError(f"K must be > 0, got {K}")
-    a, nu, rho = p.alpha, p.nu, p.rho
-    try:
-        y = _sabr_y(K, p)
-        yp = 1.0 / (a * K)
-        ypp = -1.0 / (a * K**2)
-        sig = sabr_local_vol(K, p)
-        d1 = a**2 * yp * (rho * nu + nu**2 * y) / sig
-        d2 = (a**2 * ypp * (rho * nu + nu**2 * y) + a**2 * nu**2 * yp**2 - d1**2) / sig
-    except OverflowError as exc:
-        raise _sabr_overflow("sabr_local_vol_derivs", p) from exc
-    return d1, d2
-
-
 def _sabr_m(T: float, p: SabrParams) -> float:
     return 1.0 + (0.25 * p.rho * p.nu * p.alpha + (2.0 - 3.0 * p.rho**2) / 24.0 * p.nu**2) * T
 
@@ -293,22 +265,6 @@ def _sabr_f(z: float, rho: float) -> float:
     return z / x
 
 
-def _sabr_f_derivs(z: float, rho: float) -> tuple[float, float]:
-    """(f'(z), f''(z)) for f = z/x(z); x'(z) = 1/sqrt(1-2 rho z + z^2)."""
-    if abs(z) < _SABR_SERIES_THRESHOLD:
-        fp = -0.5 * rho + (2.0 - 3.0 * rho**2) / 6.0 * z + rho * (5.0 - 6.0 * rho**2) / 8.0 * z**2
-        fpp = (2.0 - 3.0 * rho**2) / 6.0 + rho * (5.0 - 6.0 * rho**2) / 4.0 * z
-        return fp, fpp
-    A = 1.0 - 2.0 * rho * z + z**2
-    root = math.sqrt(A)
-    x = math.log1p(((z**2 - 2.0 * rho * z) / (root + 1.0) + z) / (1.0 - rho))
-    xp = 1.0 / root
-    xpp = (rho - z) / (A * root)
-    fp = (x - z * xp) / x**2
-    fpp = (-z * xpp * x - 2.0 * xp * (x - z * xp)) / x**3
-    return fp, fpp
-
-
 def sabr_implied_vol(K: float, T: float, p: SabrParams) -> float:
     """Hagan lognormal-SABR implied volatility alpha * f(z) * m(T).
 
@@ -320,30 +276,27 @@ def sabr_implied_vol(K: float, T: float, p: SabrParams) -> float:
     return p.alpha * _sabr_f(z, p.rho) * _sabr_m(T, p)
 
 
-def sabr_implied_vol_derivs(K: float, T: float, p: SabrParams) -> tuple[float, float]:
-    """(dI/dK, d^2 I/dK^2) of the Hagan implied vol, analytic in f', f''.
+def sabr_atm_curvatures(p: SabrParams, t: float) -> tuple[float, float]:
+    """ATM log-strike curvatures (local, implied) of the two SABR smiles.
 
-        dI/dK   = -nu f'(z) m(T) / K
-        d2I/dK2 = (nu f'(z)/K^2 + nu^2 f''(z)/(alpha K^2)) m(T)
+    d2/dk2 at k = log(K/S0) = 0 of sabr_local_vol and of sabr_implied_vol:
+        local   = nu^2 (1 - rho^2) / alpha
+        implied = m(t) nu^2 (2 - 3 rho^2) / (6 alpha)
+    t = 0 gives the short-end limits, where m = 1.
+
+    Raises
+    ------
+    OverflowError
+        If nu^2 or either curvature overflows, naming nu and alpha.
     """
-    if not (K > 0 and T > 0):
-        raise ValueError(f"K and T must be > 0, got K={K}, T={T}")
     try:
-        z = p.nu / p.alpha * math.log(p.s0 / K)
-        fp, fpp = _sabr_f_derivs(z, p.rho)
-        m = _sabr_m(T, p)
-        d1 = -p.nu * fp * m / K
-        d2 = (p.nu * fp / K**2 + p.nu**2 * fpp / (p.alpha * K**2)) * m
-    except OverflowError as exc:
-        raise _sabr_overflow("sabr_implied_vol_derivs", p) from exc
-    return d1, d2
-
-
-def log_strike_convert(dK: float, dKK: float, K: float) -> tuple[float, float]:
-    """Convert strike derivatives of a vol function to log-strike derivatives.
-
-    For g(k) = f(e^k): dg/dk = K f'(K) and d2g/dk2 = K f'(K) + K^2 f''(K).
-    """
-    if not (K > 0):
-        raise ValueError(f"K must be > 0, got {K}")
-    return K * dK, K * dK + K**2 * dKK
+        nu2 = p.nu**2
+        curv_lv = nu2 * (1.0 - p.rho**2) / p.alpha
+        curv_iv = _sabr_m(t, p) * nu2 * (2.0 - 3.0 * p.rho**2) / (6.0 * p.alpha)
+    except OverflowError:
+        curv_lv = curv_iv = math.inf
+    if not (math.isfinite(curv_lv) and math.isfinite(curv_iv)):
+        raise OverflowError(
+            f"sabr_atm_curvatures overflowed at nu={p.nu!r}, alpha={p.alpha!r}"
+        )
+    return curv_lv, curv_iv

@@ -14,8 +14,8 @@ cross-check oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -180,42 +180,44 @@ class SkewEstimate:
 class SmileSlice:
     """Implied vols on a strike ladder at one maturity.
 
-    vol_cov, when present, is the joint sampling covariance of the vols
-    across strikes under common random numbers; finite-difference readers use
-    it so that path-to-path correlation cancels correctly in their errors.
+    vol_cov is the joint sampling covariance of the vols across strikes
+    under common random numbers; finite-difference readers use it so that
+    path-to-path correlation cancels correctly in their errors. An exact
+    smile has vol_cov = 0.
     """
 
     maturity: float
     strikes: np.ndarray
     vols: np.ndarray
-    std_errors: np.ndarray
-    vol_cov: Optional[np.ndarray] = field(default=None)
+    vol_cov: np.ndarray
 
     def __post_init__(self):
         strikes = np.asarray(self.strikes, dtype=float)
         vols = np.asarray(self.vols, dtype=float)
-        ses = np.asarray(self.std_errors, dtype=float)
+        cov = np.asarray(self.vol_cov, dtype=float)
         m = strikes.size
         if not (np.all(np.isfinite(strikes)) and np.all(strikes > 0)):
             raise ValueError("strikes must be positive and finite")
         if np.any(np.diff(strikes) <= 0):
             raise ValueError("strikes must be strictly increasing")
-        if vols.shape != (m,) or ses.shape != (m,):
-            raise ValueError("vols and std_errors must match the strike count")
+        if vols.shape != (m,):
+            raise ValueError("vols must match the strike count")
         if not np.all(vols > 0):
             raise ValueError("implied vols must be positive")
-        if not np.all(ses >= 0):
-            raise ValueError("std_errors must be nonnegative")
-        if self.vol_cov is not None:
-            cov = np.asarray(self.vol_cov, dtype=float)
-            if cov.shape != (m, m):
-                raise ValueError("vol_cov must be square over the strikes")
-            if not np.allclose(cov, cov.T, atol=1e-12):
-                raise ValueError("vol_cov must be symmetric")
-            object.__setattr__(self, "vol_cov", cov)
+        if cov.shape != (m, m):
+            raise ValueError("vol_cov must be square over the strikes")
+        if not np.allclose(cov, cov.T, atol=1e-12):
+            raise ValueError("vol_cov must be symmetric")
+        if not np.all(np.diag(cov) >= 0):
+            raise ValueError("vol_cov must have a nonnegative diagonal")
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "vols", vols)
-        object.__setattr__(self, "std_errors", ses)
+        object.__setattr__(self, "vol_cov", cov)
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        """Per-strike standard errors, sqrt(diag(vol_cov))."""
+        return np.sqrt(np.diag(self.vol_cov))
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +416,7 @@ def mixing_smile_slice(
         raise ValueError("vanishing vega on the strike ladder; smile not invertible")
     scale = 1.0 / vegas
     vol_cov = price_cov * scale[:, None] * scale[None, :]
-    return SmileSlice(
-        maturity=t,
-        strikes=strikes,
-        vols=vols,
-        std_errors=np.sqrt(np.diag(vol_cov)),
-        vol_cov=vol_cov,
-    )
+    return SmileSlice(maturity=t, strikes=strikes, vols=vols, vol_cov=vol_cov)
 
 
 def implied_skew_digital(
@@ -461,9 +457,8 @@ def _fd_weights(sl: SmileSlice, order: int) -> tuple[np.ndarray, float]:
 
 def _fd_read(sl: SmileSlice, order: int) -> SkewEstimate:
     w, _ = _fd_weights(sl, order)
-    cov = sl.vol_cov if sl.vol_cov is not None else np.diag(sl.std_errors**2)
     value = float(w @ sl.vols)
-    se = math.sqrt(max(float(w @ cov @ w), 0.0))
+    se = math.sqrt(max(float(w @ sl.vol_cov @ w), 0.0))
     return SkewEstimate(
         maturity=sl.maturity, value=value, std_error=se, method="finite-difference"
     )
@@ -473,8 +468,7 @@ def implied_skew_fd(sl: SmileSlice) -> SkewEstimate:
     """Central-difference smile slope in log-strike from a three-strike slice.
 
     Exact for smiles quadratic in log-strike. The error uses the joint vol
-    covariance when the slice carries one, so common-random-number noise
-    cancels instead of adding.
+    covariance, so common-random-number noise cancels instead of adding.
     """
     return _fd_read(sl, 1)
 

@@ -2,9 +2,9 @@
 
 Hand-rolled on purpose: identical inputs must produce identical bytes, so
 there are no timestamps, no library identifiers, and every coordinate is
-formatted with the same "%.6g" rule. Supports polylines over linear or
-logarithmic axes, horizontal reference lines for theoretical limits, and a
-small legend.
+formatted with the same "%.6g" rule. Supports polylines over a logarithmic
+maturity axis and a linear or logarithmic value axis, horizontal reference
+lines for theoretical limits, and a small legend.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ _X_LABEL = "T"
 
 @dataclass(frozen=True)
 class PlotStyle:
-    """Axis and canvas options for ``render_line_plot``."""
+    """Options for ``render_line_plot``; the maturity (x) axis is always logarithmic."""
 
     title: str = ""
-    x_log: bool = True
     y_log: bool = False
 
 
@@ -157,7 +156,7 @@ def render_line_plot(
         raise ValueError("nothing to plot: no series given")
     x_lo, x_hi, y_lo, y_hi = _data_bounds(series, [v for _, v in ref_lines], style)
     width, height = float(_WIDTH), float(_HEIGHT)
-    x_axis = _Axis(x_lo, x_hi, _MARGIN_LEFT, width - _MARGIN_RIGHT, style.x_log)
+    x_axis = _Axis(x_lo, x_hi, _MARGIN_LEFT, width - _MARGIN_RIGHT, log=True)
     y_axis = _Axis(y_lo, y_hi, height - _MARGIN_BOTTOM, _MARGIN_TOP, style.y_log)
 
     out: List[str] = []

@@ -29,13 +29,7 @@ from roughvol.asymptotics import (
     sabr_curvature_gap,
     skew_ratio_limit,
 )
-from roughvol.models import (
-    RoughBergomiParams,
-    SabrParams,
-    log_strike_convert,
-    sabr_implied_vol_derivs,
-    sabr_local_vol_derivs,
-)
+from roughvol.models import RoughBergomiParams, SabrParams, sabr_atm_curvatures
 
 
 def bergomi(hurst: float, rho: float = -0.6, nu: float = 1.1) -> RoughBergomiParams:
@@ -223,12 +217,8 @@ class TestSabrCurvatureGap:
     def test_matches_analytic_smiles_near_zero(self):
         # (local curvature)/3 - implied curvature at T = 1e-4, log-strike ATM
         p = SabrParams(alpha=0.3, nu=0.6, rho=-0.6, s0=100.0)
-        k, t = p.s0, 1e-4
-        loc_k, loc_kk = sabr_local_vol_derivs(k, p)
-        _, loc_kk_log = log_strike_convert(loc_k, loc_kk, k)
-        imp_k, imp_kk = sabr_implied_vol_derivs(k, t, p)
-        _, imp_kk_log = log_strike_convert(imp_k, imp_kk, k)
-        gap = loc_kk_log / 3.0 - imp_kk_log
+        curv_lv, curv_iv = sabr_atm_curvatures(p, 1e-4)
+        gap = curv_lv / 3.0 - curv_iv
         assert abs(gap - sabr_curvature_gap(p)) < 0.01 * sabr_curvature_gap(p)
 
 

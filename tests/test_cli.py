@@ -83,6 +83,28 @@ class TestConfigErrors:
         assert main(["skew-ratio", "--config", config]) == 2
         assert "config is for experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "out",
+        [
+            lambda file: str(file),
+            lambda file: str(file / "sub"),
+            lambda file: str(file.parent / "out\0dir"),
+        ],
+        ids=["existing-file", "under-a-file", "nul-byte"],
+    )
+    def test_uncreatable_out_dir_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, out):
+        def no_run(config):
+            raise AssertionError("run_experiment called with an unusable out dir")
+
+        monkeypatch.setattr("roughvol.cli.run_experiment", no_run)
+        file = tmp_path / "file"
+        file.write_text("")
+        code = main(["sabr-curvature", "--out", out(file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot create output directory ")
+        assert "Traceback" not in err
+
     def test_removed_keys_exit_2_in_one_message(self, tmp_path, capsys):
         payload = dict(TINY_SKEW, skew_bump=0.005, curvature_bump=0.05, window=[0.0, 0.25])
         config = write_config(tmp_path, payload)
@@ -238,7 +260,7 @@ class TestRuns:
         assert "gap limit" in captured.err
         # every maturity's flag names the overflowing formula and parameters
         assert captured.err.count(
-            "estimator failed: sabr_local_vol_derivs overflowed at nu=1e+200, alpha=0.3"
+            "estimator failed: sabr_atm_curvatures overflowed at nu=1e+200, alpha=0.3"
         ) == 24
         assert "Numerical result out of range" not in captured.err
         assert (out / "sabr-curvature.csv").exists()

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from roughvol import gaussian, models
 from roughvol.gaussian import PathBatch, SimGrid, simulate_joint_paths
+from roughvol.asymptotics import implied_curv_from_local, sabr_curvature_gap, skew_ratio_limit
 from roughvol.models import (
     RoughBergomiParams,
     SabrParams,
+    _sabr_m,
     bergomi_sigma_path,
-    log_strike_convert,
+    sabr_atm_curvatures,
     sabr_implied_vol,
-    sabr_implied_vol_derivs,
     sabr_local_vol,
-    sabr_local_vol_derivs,
 )
 
 BERGOMI = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.2)
@@ -185,6 +185,20 @@ class TestChunkedSigmaPath:
         assert runs[0] == runs[1]
 
 
+def log_strike_fd(vol, K: float, h: float = 1e-4) -> tuple[float, float]:
+    """Central (slope, curvature) of vol in log-strike k = log K at strike K."""
+    up, mid, dn = vol(K * math.exp(h)), vol(K), vol(K * math.exp(-h))
+    return (up - dn) / (2.0 * h), (up - 2.0 * mid + dn) / h**2
+
+
+def local_fd(p: SabrParams, K: float = 100.0, h: float = 1e-4) -> tuple[float, float]:
+    return log_strike_fd(lambda k: sabr_local_vol(k, p), K, h)
+
+
+def implied_fd(p: SabrParams, T: float, K: float = 100.0, h: float = 1e-4) -> tuple[float, float]:
+    return log_strike_fd(lambda k: sabr_implied_vol(k, T, p), K, h)
+
+
 class TestSabrLocalVol:
     def test_atm_is_alpha(self):
         assert sabr_local_vol(100.0, SABR) == pytest.approx(0.3, rel=1e-14)
@@ -200,33 +214,31 @@ class TestSabrLocalVol:
         assert sabr_local_vol(K, SABR) == pytest.approx(0.24, rel=1e-12)
 
     def test_atm_strike_derivative(self):
-        d1, _ = sabr_local_vol_derivs(100.0, SABR)
-        assert d1 == pytest.approx(SABR.rho * SABR.nu / 100.0, rel=1e-12)
+        # d sigma/dK = rho nu / K at the money: the log-strike skew is rho nu
+        h = 1e-4 * SABR.s0
+        fd = (sabr_local_vol(100.0 + h, SABR) - sabr_local_vol(100.0 - h, SABR)) / (2 * h)
+        assert fd == pytest.approx(SABR.rho * SABR.nu / 100.0, rel=1e-6)
+        assert local_fd(SABR)[0] == pytest.approx(-0.36, rel=1e-7)
 
     def test_rho_zero_atm_slope_vanishes(self):
         p = SabrParams(alpha=0.3, nu=0.6, rho=0.0, s0=100.0)
-        d1, _ = sabr_local_vol_derivs(100.0, p)
-        assert d1 == pytest.approx(0.0, abs=1e-15)
+        assert local_fd(p)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_nu_zero_derivatives_vanish(self):
         p = SabrParams(alpha=0.3, nu=0.0, rho=-0.6, s0=100.0)
         for K in (70.0, 100.0, 140.0):
-            d1, d2 = sabr_local_vol_derivs(K, p)
-            assert d1 == 0.0
-            assert d2 == 0.0
+            assert local_fd(p, K) == (0.0, 0.0)
+        assert sabr_atm_curvatures(p, 0.5) == (0.0, 0.0)
 
     @pytest.mark.parametrize("K", [60.0, 85.0, 100.0, 120.0, 170.0])
     def test_derivs_match_finite_differences(self, K):
-        h = 1e-4 * SABR.s0
-        d1, d2 = sabr_local_vol_derivs(K, SABR)
-        fd1 = (sabr_local_vol(K + h, SABR) - sabr_local_vol(K - h, SABR)) / (2 * h)
-        fd2 = (
-            sabr_local_vol(K + h, SABR)
-            - 2 * sabr_local_vol(K, SABR)
-            + sabr_local_vol(K - h, SABR)
-        ) / h**2
-        assert d1 == pytest.approx(fd1, rel=1e-6)
-        assert d2 == pytest.approx(fd2, rel=1e-6)
+        # sigma^2 = alpha^2 + 2 rho nu alpha k + nu^2 k^2 in k = log(K/S0), so its
+        # log-strike derivatives are 2 (rho nu alpha + nu^2 k) and 2 nu^2
+        a, nu, rho = SABR.alpha, SABR.nu, SABR.rho
+        k = math.log(K / SABR.s0)
+        d1, d2 = log_strike_fd(lambda x: sabr_local_vol(x, SABR) ** 2, K)
+        assert d1 == pytest.approx(2.0 * (rho * nu * a + nu**2 * k), rel=1e-6, abs=1e-12)
+        assert d2 == pytest.approx(2.0 * nu**2, rel=1e-6)
 
 
 class TestSabrImpliedVol:
@@ -240,7 +252,7 @@ class TestSabrImpliedVol:
 
     def test_continuous_across_series_threshold(self):
         # both branches evaluated at the threshold z itself must agree
-        from roughvol.models import _SABR_SERIES_THRESHOLD, _sabr_f, _sabr_m
+        from roughvol.models import _SABR_SERIES_THRESHOLD, _sabr_f
 
         scale = SABR.alpha * _sabr_m(0.3, SABR)
         for sign in (+1, -1):
@@ -250,86 +262,98 @@ class TestSabrImpliedVol:
             assert scale * abs(above - below) < 1e-10
 
     def test_atm_log_skew_is_half_local(self):
-        # one-half rule: K dI/dK at ATM -> (rho nu)/2 as T -> 0
-        d1, _ = sabr_implied_vol_derivs(100.0, 1e-10, SABR)
-        assert 100.0 * d1 == pytest.approx(0.5 * SABR.rho * SABR.nu, rel=1e-8)
+        # one-half rule: dI/dk at ATM -> (rho nu)/2 as T -> 0
+        assert implied_fd(SABR, 1e-10)[0] == pytest.approx(0.5 * SABR.rho * SABR.nu, rel=1e-7)
 
     def test_one_half_rule_ratio(self):
-        local_d1, _ = sabr_local_vol_derivs(100.0, SABR)
-        ratios = []
-        for T in (0.2, 0.05, 1e-3, 1e-6):
-            iv_d1, _ = sabr_implied_vol_derivs(100.0, T, SABR)
-            ratios.append(local_d1 / iv_d1)
+        local_d1 = local_fd(SABR)[0]
+        ratios = [local_d1 / implied_fd(SABR, T)[0] for T in (0.2, 0.05, 1e-3, 1e-6)]
         assert ratios[-1] == pytest.approx(2.0, rel=1e-6)
         # monotone approach to the limit
         assert abs(ratios[0] - 2.0) > abs(ratios[-1] - 2.0)
 
     def test_rho_zero_atm_first_derivative_vanishes(self):
         p = SabrParams(alpha=0.3, nu=0.6, rho=0.0, s0=100.0)
-        d1, _ = sabr_implied_vol_derivs(100.0, 0.25, p)
-        assert d1 == pytest.approx(0.0, abs=1e-15)
+        assert implied_fd(p, 0.25)[0] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("K", [60.0, 85.0, 99.0, 100.0, 101.0, 120.0, 170.0])
     @pytest.mark.parametrize("T", [0.02, 0.5])
     def test_derivs_match_finite_differences(self, K, T):
-        h = 1e-4 * SABR.s0
-        d1, d2 = sabr_implied_vol_derivs(K, T, SABR)
-        up = sabr_implied_vol(K + h, T, SABR)
-        mid = sabr_implied_vol(K, T, SABR)
-        dn = sabr_implied_vol(K - h, T, SABR)
-        assert d1 == pytest.approx((up - dn) / (2 * h), rel=1e-6)
-        assert d2 == pytest.approx((up - 2 * mid + dn) / h**2, rel=1e-5)
+        # The smile is alpha m(T) z / x(z), z = -(nu/alpha) k, where Hagan's x
+        # solves x' = 1/sqrt(A), A = 1 - 2 rho z + z^2, so x'' = (rho - z)/A^(3/2).
+        # Read x back off the smile and difference it in log-strike.
+        a, nu, rho = SABR.alpha, SABR.nu, SABR.rho
+        m = _sabr_m(T, SABR)
+
+        def x_of(K):
+            z = nu / a * math.log(SABR.s0 / K)
+            return z * a * m / sabr_implied_vol(K, T, SABR)
+
+        z = nu / a * math.log(SABR.s0 / K)
+        A = 1.0 - 2.0 * rho * z + z**2
+        d1, d2 = log_strike_fd(x_of, K)
+        assert d1 == pytest.approx(-nu / a / math.sqrt(A), rel=1e-6)
+        assert d2 == pytest.approx((nu / a) ** 2 * (rho - z) / A**1.5, rel=1e-5)
 
 
-@pytest.mark.parametrize(
-    "derivs", [sabr_local_vol_derivs, lambda K, p: sabr_implied_vol_derivs(K, 0.1, p)]
-)
-def test_sabr_derivs_overflow_names_the_parameters(derivs):
-    huge = SabrParams(alpha=0.3, nu=1e200, rho=-0.6, s0=100.0)
-    with pytest.raises(OverflowError, match=r"_vol_derivs overflowed at nu=1e\+200, alpha=0.3"):
-        derivs(100.0, huge)
+SABR_GRID = [
+    SabrParams(alpha=alpha, nu=nu, rho=rho, s0=100.0)
+    for alpha in (0.05, 0.3, 1.7)
+    for nu in (0.0, 0.2, 0.6)
+    for rho in (-0.6, 0.0, 0.4)
+]
 
 
-class TestLogStrikeConvert:
-    def test_zero_derivatives(self):
-        assert log_strike_convert(0.0, 0.0, 100.0) == (0.0, 0.0)
+class TestSabrAtmCurvatures:
+    @pytest.mark.parametrize("T", [0.01, 1.0])
+    @pytest.mark.parametrize("p", SABR_GRID, ids=str)
+    def test_match_smile_differences(self, p, T):
+        # a step of 1e-3 in z = (nu/alpha) k balances truncation and rounding
+        h = 1e-3 * p.alpha / max(p.nu, p.alpha)
+        curv_lv, curv_iv = sabr_atm_curvatures(p, T)
+        assert curv_lv == pytest.approx(local_fd(p, h=h)[1], rel=1e-5, abs=1e-9)
+        assert curv_iv == pytest.approx(implied_fd(p, T, h=h)[1], rel=1e-5, abs=1e-9)
 
-    def test_log_function_case(self):
-        # f(K) = log K: f' = 1/K, f'' = -1/K^2 -> dg/dk = 1, d2g/dk2 = 0
-        dk, dkk = log_strike_convert(1 / 100.0, -1 / 100.0**2, 100.0)
-        assert dk == pytest.approx(1.0, rel=1e-14)
-        assert dkk == pytest.approx(0.0, abs=1e-14)
-
-    def test_sabr_atm_log_skew(self):
-        d1, d2 = sabr_local_vol_derivs(100.0, SABR)
-        dk, _ = log_strike_convert(d1, d2, 100.0)
-        assert dk == pytest.approx(SABR.rho * SABR.nu, rel=1e-12)
-        assert dk == pytest.approx(-0.36, rel=1e-12)
-
-    @given(
-        k=st.floats(20.0, 500.0),
-        b=st.floats(-0.2, 0.2),
-        c=st.floats(-0.1, 0.1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_matches_chain_rule_on_quadratics(self, k, b, c):
-        # f(K) = a + b log K + c (log K)^2 has exact log-strike derivatives
-        lk = math.log(k)
-        dK = (b + 2 * c * lk) / k
-        dKK = (2 * c - b - 2 * c * lk) / k**2
-        dk, dkk = log_strike_convert(dK, dKK, k)
-        assert dk == pytest.approx(b + 2 * c * lk, rel=1e-9, abs=1e-12)
-        assert dkk == pytest.approx(2 * c, rel=1e-9, abs=1e-9)
+    @pytest.mark.parametrize("nu, alpha", [(1e200, 0.3), (1e154, 1e-3)])
+    def test_overflow_names_the_parameters(self, nu, alpha):
+        huge = SabrParams(alpha=alpha, nu=nu, rho=-0.6, s0=100.0)
+        want = f"sabr_atm_curvatures overflowed at nu={nu!r}, alpha={alpha!r}"
+        with pytest.raises(OverflowError, match=want.replace("+", r"\+")):
+            sabr_atm_curvatures(huge, 0.1)
 
 
 class TestSabrCurvatureLimits:
     def test_atm_log_curvatures(self):
         # closed-form short-end targets used by the asymptotics module
         a, nu, rho = SABR.alpha, SABR.nu, SABR.rho
-        T = 1e-8
-        d1, d2 = sabr_local_vol_derivs(100.0, SABR)
-        _, local_kk = log_strike_convert(d1, d2, 100.0)
-        assert local_kk == pytest.approx(nu**2 / a * (1 - rho**2), rel=1e-10)
-        i1, i2 = sabr_implied_vol_derivs(100.0, T, SABR)
-        _, impl_kk = log_strike_convert(i1, i2, 100.0)
-        assert impl_kk == pytest.approx(nu**2 / a * (1.0 / 3.0 - rho**2 / 2.0), rel=1e-6)
+        for T in (0.0, 1e-8):
+            curv_lv, curv_iv = sabr_atm_curvatures(SABR, T)
+            assert curv_lv == pytest.approx(nu**2 / a * (1 - rho**2), rel=1e-14)
+            assert curv_iv == pytest.approx(nu**2 / a * (1.0 / 3.0 - rho**2 / 2.0), rel=1e-8)
+
+
+# The paper's rules at H = 1/2, where rough Bergomi is lognormal SABR
+HALF_SETS = [
+    SabrParams(alpha=0.3, nu=0.6, rho=-0.6, s0=100.0),
+    SabrParams(alpha=0.05, nu=0.2, rho=0.4, s0=100.0),
+    SabrParams(alpha=1.7, nu=3.0, rho=-0.95, s0=50.0),
+    SabrParams(alpha=0.2, nu=1.1, rho=0.7, s0=100.0),
+]
+
+
+@pytest.mark.parametrize("p", HALF_SETS, ids=str)
+class TestSabrHalfIdentities:
+    def test_transfer_formula_is_exact(self, p):
+        curv_lv, curv_iv = sabr_atm_curvatures(p, 0.0)
+        skew_sq = (p.rho * p.nu) ** 2
+        want = implied_curv_from_local(0.5, p.alpha, skew_sq, curv_lv)
+        assert curv_iv == pytest.approx(want, rel=1e-12)
+
+    def test_gap_is_the_curvature_difference(self, p):
+        curv_lv, curv_iv = sabr_atm_curvatures(p, 0.0)
+        assert curv_lv / 3.0 - curv_iv == pytest.approx(sabr_curvature_gap(p), rel=1e-12)
+
+    def test_skew_ratio_is_one_half(self, p):
+        ratio = implied_fd(p, 1e-12, p.s0)[0] / local_fd(p, p.s0)[0]
+        assert skew_ratio_limit(0.5) == 0.5
+        assert ratio == pytest.approx(skew_ratio_limit(0.5), rel=1e-6)

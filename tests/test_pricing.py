@@ -9,8 +9,8 @@ from scipy.special import ndtr
 from oracles import log_euler_call_price, mc_digital
 from roughvol._stats import delta_method, mean_and_se, weighted_level_fit
 from roughvol.gaussian import SimGrid, simulate_joint_paths
-from roughvol.models import RoughBergomiParams, SabrParams, bergomi_sigma_path
-from roughvol.models import log_strike_convert, sabr_implied_vol, sabr_implied_vol_derivs
+from roughvol.models import RoughBergomiParams, SabrParams, _sabr_m, bergomi_sigma_path
+from roughvol.models import sabr_implied_vol
 from roughvol.pricing import (
     ConditionalLaw,
     ImpliedVolBoundsError,
@@ -334,24 +334,34 @@ def _quadratic_slice(a, b, c, k_center=100.0, h=0.05, t=0.25, cov=None):
     ks = k_center * np.exp(np.array([-h, 0.0, h]))
     x = np.log(ks / k_center)
     vols = a + b * x + c * x**2
-    ses = np.full(3, 1e-3)
-    return SmileSlice(maturity=t, strikes=ks, vols=vols, std_errors=ses, vol_cov=cov)
+    if cov is None:
+        cov = np.diag(np.full(3, 1e-3) ** 2)
+    return SmileSlice(maturity=t, strikes=ks, vols=vols, vol_cov=cov)
 
 
 class TestSmileSlice:
     def test_validation(self):
+        zero = np.zeros((3, 3))
         with pytest.raises(ValueError, match="increasing"):
-            SmileSlice(0.25, [100.0, 90.0, 110.0], [0.3] * 3, [0.0] * 3)
+            SmileSlice(0.25, [100.0, 90.0, 110.0], [0.3] * 3, zero)
         with pytest.raises(ValueError, match="positive"):
-            SmileSlice(0.25, [90.0, 100.0, 110.0], [0.3, -0.1, 0.3], [0.0] * 3)
+            SmileSlice(0.25, [90.0, 100.0, 110.0], [0.3, -0.1, 0.3], zero)
         with pytest.raises(ValueError, match="symmetric"):
             SmileSlice(
                 0.25,
                 [90.0, 100.0, 110.0],
                 [0.3] * 3,
-                [0.0] * 3,
                 vol_cov=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             )
+        with pytest.raises(ValueError, match="square"):
+            SmileSlice(0.25, [90.0, 100.0, 110.0], [0.3] * 3, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="nonnegative diagonal"):
+            SmileSlice(0.25, [90.0, 100.0, 110.0], [0.3] * 3, np.diag([1e-6, -1e-6, 1e-6]))
+
+    def test_std_errors_are_the_covariance_diagonal(self):
+        cov = np.array([[4e-6, 1e-6, 0.0], [1e-6, 9e-6, 2e-6], [0.0, 2e-6, 1e-6]])
+        sl = SmileSlice(0.25, [90.0, 100.0, 110.0], [0.3] * 3, cov)
+        np.testing.assert_array_equal(sl.std_errors, np.sqrt([4e-6, 9e-6, 1e-6]))
 
     def test_fd_exact_on_quadratics(self):
         sl = _quadratic_slice(a=0.3, b=-0.21, c=0.8)
@@ -360,12 +370,12 @@ class TestSmileSlice:
 
     def test_fd_rejects_nonuniform_spacing(self):
         ks = [90.0, 100.0, 111.0]
-        sl = SmileSlice(0.25, ks, [0.32, 0.3, 0.31], [1e-3] * 3)
+        sl = SmileSlice(0.25, ks, [0.32, 0.3, 0.31], np.diag([1e-6] * 3))
         with pytest.raises(ValueError, match="uniform"):
             implied_skew_fd(sl)
 
     def test_fd_needs_three_strikes(self):
-        sl = SmileSlice(0.25, [90.0, 100.0], [0.31, 0.3], [1e-3] * 2)
+        sl = SmileSlice(0.25, [90.0, 100.0], [0.31, 0.3], np.diag([1e-6] * 2))
         with pytest.raises(ValueError, match="three"):
             implied_skew_fd(sl)
 
@@ -381,13 +391,12 @@ class TestSmileSlice:
     def test_fd_converges_on_smooth_smile(self):
         sabr = SabrParams(alpha=0.3, nu=0.6, rho=-0.6, s0=100.0)
         t = 0.5
-        dk, dkk = sabr_implied_vol_derivs(100.0, t, sabr)
-        skew_exact, _ = log_strike_convert(dk, dkk, 100.0)
+        skew_exact = 0.5 * sabr.rho * sabr.nu * _sabr_m(t, sabr)  # alpha m(t) f'(0) dz/dk
         errs = []
         for h in (0.02, 0.01):
             ks = 100.0 * np.exp(np.array([-h, 0.0, h]))
             vols = np.array([sabr_implied_vol(float(k), t, sabr) for k in ks])
-            sl = SmileSlice(t, ks, vols, np.full(3, 1e-6))
+            sl = SmileSlice(t, ks, vols, np.diag(np.full(3, 1e-6) ** 2))
             errs.append(abs(implied_skew_fd(sl).value - skew_exact))
         assert errs[0] < 1e-4
         assert errs[1] < errs[0] / 3.0  # second-order shrink
@@ -397,7 +406,7 @@ class TestSmileSlice:
         h = 0.02
         ks = [100.0 * math.exp(-h), 100.0, 100.0 * math.exp(h)]
         sl = mixing_smile_slice(sig, BERGOMI, 0.25, ks)
-        assert sl.vol_cov is not None
+        assert sl.vol_cov.shape == (3, 3)
         assert np.all(sl.std_errors > 0)
         assert np.all(np.linalg.eigvalsh(sl.vol_cov) > -1e-18)
         # the ATM vol equals the one-strike inversion

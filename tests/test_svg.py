@@ -23,7 +23,7 @@ def parse(doc: str) -> ET.Element:
 
 class TestRenderLinePlot:
     def test_single_series_has_one_polyline(self):
-        doc = render_line_plot([series([1.0, 2.0, 3.0, 4.0])], PlotStyle(x_log=False))
+        doc = render_line_plot([series([1.0, 2.0, 3.0, 4.0])], PlotStyle())
         root = parse(doc)
         assert root.tag == f"{SVG_NS}svg"
         assert len(root.findall(f"{SVG_NS}polyline")) == 1
@@ -53,13 +53,13 @@ class TestRenderLinePlot:
 
     def test_nan_splits_polyline(self):
         doc = render_line_plot(
-            [series([1.0, 2.0, math.nan, 3.0, 4.0])], PlotStyle(x_log=False)
+            [series([1.0, 2.0, math.nan, 3.0, 4.0])], PlotStyle()
         )
         assert len(parse(doc).findall(f"{SVG_NS}polyline")) == 2
 
     def test_isolated_point_becomes_circle(self):
         doc = render_line_plot(
-            [series([math.nan, 2.0, math.nan, 3.0, 4.0])], PlotStyle(x_log=False)
+            [series([math.nan, 2.0, math.nan, 3.0, 4.0])], PlotStyle()
         )
         root = parse(doc)
         assert len(root.findall(f"{SVG_NS}circle")) == 1
@@ -89,7 +89,7 @@ class TestRenderLinePlot:
 
     def test_axis_ticks_cover_data(self):
         doc = render_line_plot(
-            [series(np.linspace(0.0, 10.0, 8))], PlotStyle(x_log=True, y_log=False)
+            [series(np.linspace(0.0, 10.0, 8))], PlotStyle()
         )
         root = parse(doc)
         labels = [el.text for el in root.findall(f"{SVG_NS}text")]

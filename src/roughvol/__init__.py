@@ -53,7 +53,6 @@ from roughvol.models import (
 from roughvol.pricing import (
     ConditionalLaw,
     ImpliedVolBoundsError,
-    SkewEstimate,
     SmileSlice,
     bs_price,
     bs_vega,

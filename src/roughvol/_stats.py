@@ -38,7 +38,8 @@ def delta_method(
     residual one, the Schur complement S_FF - S_Fc S_cF / S_cc scaled by
     (n - 1) / (n - 2) for the fitted beta. The control is skipped, and the
     result is the plain one bit for bit, when n < 3 or S_cc == 0 (a control
-    that is identically zero carries no information).
+    that is identically zero carries no information). A value or SE that is
+    not finite raises ValueError, except the SE inf returned for n < 2.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n, m = features.shape
@@ -65,8 +66,10 @@ def delta_method(
         up[i] += h
         dn[i] -= h
         grad[i] = (g(up) - g(dn)) / (2.0 * h)
-    var = float(grad @ cov @ grad)
-    return value, math.sqrt(max(var, 0.0))
+    se = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    if not (math.isfinite(value) and math.isfinite(se)):
+        raise ValueError(f"delta-method estimate is not finite: {value!r} +- {se!r}")
+    return value, se
 
 
 def weighted_level_fit(

@@ -85,13 +85,15 @@ class TermSeries:
 class PowerLawFit:
     """Least-squares fit of value = exp(intercept) * T^exponent.
 
-    ``residuals`` are in log space, one per fitted point.
+    ``residuals`` are in log space, one per fitted point; ``window`` is the
+    maturity window fitted, cut short at a sign change.
     """
 
     exponent: float
     intercept: float
     r_squared: float
     residuals: np.ndarray = field(repr=False)
+    window: Tuple[float, float]
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.r_squared <= 1.0):
@@ -241,30 +243,31 @@ FIT_WINDOW: Tuple[float, float] = (0.0, 0.25)
 def fit_power_law(series: TermSeries, window: Tuple[float, float] = FIT_WINDOW) -> PowerLawFit:
     """Fit value ~ exp(intercept) * T^exponent on a maturity window.
 
-    Plain least squares on (log T, log |value|). Requires at least 4 points
-    in the window, all of one sign.
+    Plain least squares on (log T, log |value|) over the finite points in the
+    window (a failed maturity is NaN, not a sign change), up to the first one
+    that is zero or of the other sign than the first; the upper end of
+    ``window`` then moves halfway to it. Fewer than 4 points in the window
+    raise ValueError, fewer than 4 before the cut ArithmeticError.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    mask = (series.maturities >= lo) & (series.maturities <= hi)
-    if int(mask.sum()) < 4:
-        raise ValueError(
-            f"need at least 4 points in window ({lo}, {hi}), "
-            f"got {int(mask.sum())}"
-        )
-    vals = series.values[mask]
-    if np.all(vals > 0.0):
-        pass
-    elif np.all(vals < 0.0):
-        vals = -vals
-    else:
-        raise ValueError(
-            "values change sign (or vanish) inside the window; "
-            "a power law needs one sign"
-        )
-    log_t = np.log(series.maturities[mask])
-    log_v = np.log(vals)
+    mask = np.isfinite(series.values) & (series.maturities >= lo) & (series.maturities <= hi)
+    ts, vals = series.maturities[mask], series.values[mask]
+    if ts.size < 4:
+        raise ValueError(f"need at least 4 points in window ({lo}, {hi}), got {ts.size}")
+    bad = np.nonzero((np.sign(vals) != np.sign(vals[0])) | (vals == 0.0))[0]
+    if bad.size:
+        cut = int(bad[0])
+        if cut < 4:
+            raise ArithmeticError(
+                f"curvature series {series.label!r} changes sign before four "
+                f"short-end points; no power-law window"
+            )
+        hi = float(0.5 * (ts[cut - 1] + ts[cut]))
+        ts, vals = ts[:cut], vals[:cut]
+    log_t = np.log(ts)
+    log_v = np.log(np.abs(vals))
     slope, intercept = np.polyfit(log_t, log_v, 1)
     residuals = log_v - (slope * log_t + intercept)
     ss_res = float(np.dot(residuals, residuals))
@@ -278,4 +281,5 @@ def fit_power_law(series: TermSeries, window: Tuple[float, float] = FIT_WINDOW) 
         intercept=float(intercept),
         r_squared=min(max(r_squared, 0.0), 1.0),
         residuals=residuals,
+        window=(lo, hi),
     )

@@ -20,6 +20,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     _check_int,
+    _output_paths,
     run_experiment,
     run_selftest,
     write_outputs,
@@ -125,6 +126,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"config error: cannot create output directory {config.out_dir!r}: {exc}",
             file=sys.stderr,
         )
+        return 2
+    # a directory at an output file path would fail only after the whole run
+    blocked = [str(path) for path in _output_paths(config).values() if path.is_dir()]
+    if blocked:
+        print(f"config error: output paths are directories: {', '.join(blocked)}", file=sys.stderr)
         return 2
 
     try:

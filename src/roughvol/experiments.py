@@ -42,7 +42,7 @@ from .asymptotics import (
     FIT_WINDOW, PowerLawFit, TermSeries, fit_power_law, local_curv_from_implied,
     sabr_curvature_gap, skew_ratio_limit,
 )
-from .gaussian import SimGrid, simulate_joint_paths, volterra_cross_covariance
+from .gaussian import MAX_STEPS, SimGrid, simulate_joint_paths, volterra_cross_covariance
 from .local_vol import local_vol_curvature_fd, mixing_local_vol, mixing_local_vol_skew
 from .models import (
     RoughBergomiParams,
@@ -95,7 +95,6 @@ _DEFAULT_LADDER: Dict[str, Dict[str, float]] = {
     "power-law": dict(min=0.004, max=1.0, count=24),
     "sabr-curvature": dict(min=0.001, max=1.0, count=24),
 }
-_MAX_STEPS = 2048  # dense-factorization cap of the Gaussian engine
 # Paths of one maturity are produced in groups of this many 4096-path blocks.
 # One 65536 x 256 maturity on 2 cores, median wall and peak RSS of 3 runs:
 # 2 blocks 1.35 s, 159 MB (each group's draws wait on the previous group's
@@ -105,7 +104,7 @@ _GROUP_BLOCKS = 4
 # Accepted ranges of the integer settings, shared with the selftest flags.
 _INT_RANGES: Dict[str, Tuple[int, int]] = {
     "n_paths": (2, 2**31),
-    "n_steps": (1, _MAX_STEPS),
+    "n_steps": (1, MAX_STEPS),
     "seed": (0, 2**64 - 1),
 }
 # Longest ladder, in either form: at the default 200000 paths a maturity takes
@@ -205,11 +204,6 @@ class ExperimentConfig:
                 errors.append(f"model: {exc}")
                 continue
             resolved_model[key] = trial[key]
-        if len(resolved_model) == len(model_keys):
-            try:
-                params_cls(**resolved_model)
-            except ValueError as exc:
-                errors.append(f"model: {exc}")
         if params_cls is RoughBergomiParams and abs(resolved_model.get("rho", 0.0)) == 1.0:
             # the local-vol density divides by the residual vol sqrt(1 - rho^2)
             errors.append("model: rho must lie in (-1, 1) for the Monte Carlo experiments")
@@ -551,11 +545,11 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
 
     def row(i: int, t: float):
         sig = _simulate(p, config, i, t, factorization)
-        sk_dig = implied_skew_digital(sig, p, t)
-        sk_fd = implied_skew_fd(mixing_smile_slice(sig, p, t, strikes))
-        sk_loc = mixing_local_vol_skew(sig, p, t, p.s0)
+        dig, dig_se = implied_skew_digital(sig, p, t)
+        fd, fd_se = implied_skew_fd(mixing_smile_slice(sig, p, t, strikes))
+        loc, loc_se = mixing_local_vol_skew(sig, p, t, p.s0)
         flags = []
-        if sk_loc.value == 0.0:
+        if loc == 0.0:
             ratio, ratio_se = float("nan"), float("nan")
             flags.append(f"T={t:.6g}: local skew is zero, ratio undefined")
         else:
@@ -564,17 +558,13 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
         # (below 1e-14 s) moves each slice vol by up to ~1e-12 and the FD
         # skew by that over the bump. It matters only when both errors
         # vanish, as in the exact nu = 0 law.
-        tol = max(
-            12.0 * math.hypot(sk_dig.std_error, sk_fd.std_error),
-            0.3 * abs(sk_dig.value) + 1e-8,
-        )
-        if abs(sk_dig.value - sk_fd.value) > tol:
+        tol = max(12.0 * math.hypot(dig_se, fd_se), 0.3 * abs(dig) + 1e-8)
+        if abs(dig - fd) > tol:
             flags.append(
                 f"T={t:.6g}: digital and finite-difference implied skews "
-                f"disagree ({sk_dig.value:.6g} vs {sk_fd.value:.6g})"
+                f"disagree ({dig:.6g} vs {fd:.6g})"
             )
-        values = (sk_dig.value, sk_dig.std_error, sk_loc.value, sk_loc.std_error, ratio, ratio_se)
-        return values, flags
+        return (dig, dig_se, loc, loc_se, ratio, ratio_se), flags
 
     cols, flags = _ladder(config, _SKEW_COLUMNS, row)
     flags += _factorization_flags(factorization)
@@ -644,41 +634,6 @@ def run_sabr_curvature(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _fit_with_shrink(
-    series: TermSeries,
-    window: Tuple[float, float],
-    notes: List[str],
-) -> PowerLawFit:
-    """Power-law fit that shrinks the window on an interior sign change.
-
-    Only the finite points are fitted: a failed maturity is a NaN row with a
-    flag of its own, not a change of sign.
-    """
-    keep = np.isfinite(series.values)
-    series = TermSeries(
-        series.maturities[keep], series.values[keep], series.std_errors[keep], series.label
-    )
-    lo, hi = window
-    inside = (series.maturities >= lo) & (series.maturities <= hi)
-    ts, vals = series.maturities[inside], series.values[inside]
-    bad = np.nonzero((np.sign(vals) != np.sign(vals[:1])) | (vals == 0.0))[0]
-    # fewer than four points fail in fit_power_law, with its own message
-    if ts.size >= 4 and bad.size:
-        cut = int(bad[0])
-        if cut < 4:
-            raise ArithmeticError(
-                f"curvature series {series.label!r} changes sign before four "
-                f"short-end points; no power-law window"
-            )
-        hi = float(0.5 * (ts[cut - 1] + ts[cut]))
-        message = (
-            f"{series.label}: sign change inside window, shrunk to ({lo:.6g}, {hi:.6g})"
-        )
-        warnings.warn(message, stacklevel=3)
-        notes.append(message)
-    return fit_power_law(series, (lo, hi))
-
-
 def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo curvature term structures and their power-law exponents.
 
@@ -687,8 +642,8 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     with a sqrt(T)-scaled log-strike bump, and the digital implied ATM skew
     and transfer residual of ``_skew_and_transfer``. Both curvature series
     are fitted on the short-end window; the exponents and their difference
-    land in the meta output. A series that admits no fit raises a flag
-    instead.
+    land in the meta output. A fit cut short by a sign change leaves a note
+    and a warning; a series that admits no fit, a flag.
     """
     start = time.perf_counter()
     p = config.bergomi_params()
@@ -700,8 +655,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
         strikes = p.s0 * np.exp(np.array([-h, 0.0, h]))
         curv_iv = implied_curvature_fd(mixing_smile_slice(sig, p, t, strikes))
         curv_lv = local_vol_curvature_fd(sig, p, t, h)
-        values = (curv_iv.value, curv_iv.std_error, curv_lv.value, curv_lv.std_error)
-        return values + _skew_and_transfer(sig, p, t, h), []
+        return curv_iv + curv_lv + _skew_and_transfer(sig, p, t, h), []
 
     cols, flags = _ladder(config, _POWER_COLUMNS, row)
     flags += _factorization_flags(factorization)
@@ -710,9 +664,14 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     for name, label in (("curv_iv", "implied ATM curvature"), ("curv_lv", "local ATM curvature")):
         series = TermSeries(cols["T"], cols[name], cols["se_" + name], label)
         try:
-            fits[name] = _fit_with_shrink(series, FIT_WINDOW, notes)
+            fits[name] = fit_power_law(series, FIT_WINDOW)
         except (ValueError, ArithmeticError) as exc:
             flags.append(f"{name}: no power-law fit: {exc}")
+            continue
+        lo, hi = fits[name].window
+        if hi != FIT_WINDOW[1]:
+            notes.append(f"{label}: sign change inside window, shrunk to ({lo:.6g}, {hi:.6g})")
+            warnings.warn(notes[-1], stacklevel=2)
     plot_series = (
         TermSeries(
             cols["T"], np.abs(cols["curv_iv"]), cols["se_curv_iv"], "|implied curvature|"
@@ -746,28 +705,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return runner(config)
 
 
+def _output_paths(config: ExperimentConfig) -> Dict[str, Path]:
+    """The files ``write_outputs`` writes, by suffix: the SVG only with format csv+svg."""
+    svg = (".svg",) if config.format == "csv+svg" else ()
+    suffixes = (".csv",) + svg + (".meta.json",)
+    return {suffix: Path(config.out_dir) / f"{config.experiment}{suffix}" for suffix in suffixes}
+
+
 def write_outputs(result: ExperimentResult) -> List[Path]:
     """Write CSV (+ optional SVG) and the meta JSON; returns written paths."""
-    out_dir = Path(result.config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = result.config.experiment
+    paths = _output_paths(result.config)
+    Path(result.config.out_dir).mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
 
-    csv_path = out_dir / f"{name}.csv"
+    csv_path = paths[".csv"]
     csv_path.write_text(result.csv_text(), encoding="ascii")
     written.append(csv_path)
 
-    if result.config.format == "csv+svg":
+    if ".svg" in paths:
         try:
             svg = render_line_plot(result.plot_series, result.plot_style, result.ref_lines)
         except ValueError:
             pass  # no finite point to plot; the flags say why
         else:
-            svg_path = out_dir / f"{name}.svg"
+            svg_path = paths[".svg"]
             svg_path.write_text(svg, encoding="utf-8")
             written.append(svg_path)
 
-    meta_path = out_dir / f"{name}.meta.json"
+    meta_path = paths[".meta.json"]
     meta_path.write_text(
         json.dumps(result.meta_dict(), indent=2, sort_keys=True) + "\n",
         encoding="ascii",
@@ -815,8 +780,8 @@ def _fd_parabola_check() -> SelftestCheck:
         vols=vols,
         vol_cov=np.zeros((3, 3)),
     )
-    skew_err = abs(implied_skew_fd(sl).value - (-0.21))
-    curv_err = abs(implied_curvature_fd(sl).value - 1.6)
+    skew_err = abs(implied_skew_fd(sl)[0] - (-0.21))
+    curv_err = abs(implied_curvature_fd(sl)[0] - 1.6)
     ok = skew_err < 1e-10 and curv_err < 1e-10
     return SelftestCheck(
         "finite differences on a quadratic smile",

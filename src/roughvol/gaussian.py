@@ -41,6 +41,7 @@ __all__ = [
 _BLOCK = 4096
 _LEG_JOINT = 0
 _LEG_ORTHOGONAL = 1
+MAX_STEPS = 2048  # largest n_steps: the conditional covariance is factorized densely
 
 
 def _usable_cores() -> int:
@@ -287,7 +288,7 @@ def simulate_joint_paths(
     Parameters
     ----------
     grid : SimGrid
-        Uniform grid; n_steps is capped at 2048 (dense factorization).
+        Uniform grid; n_steps is capped at ``MAX_STEPS`` (dense factorization).
     H : float
         Hurst index in (0, 1).
     n_paths : int
@@ -307,9 +308,9 @@ def simulate_joint_paths(
     _check_hurst(H)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if grid.n_steps > 2048:
+    if grid.n_steps > MAX_STEPS:
         raise ValueError(
-            f"n_steps = {grid.n_steps} exceeds the dense-factorization cap of 2048"
+            f"n_steps = {grid.n_steps} exceeds the dense-factorization cap of {MAX_STEPS}"
         )
     if not (0 <= seed < 2**64):
         raise ValueError("seed must fit in 64 bits")

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._stats import delta_method
 from .models import RoughBergomiParams, SigmaPath, grid_step_index  # grid_step_index: re-export
-from .pricing import ConditionalLaw, SkewEstimate
+from .pricing import ConditionalLaw
 
 __all__ = [
     "LowWeightWarning",
@@ -93,30 +93,30 @@ def mixing_local_vol(
 
 def mixing_local_vol_skew(
     sig: SigmaPath, p: RoughBergomiParams, t: float, k: float
-) -> SkewEstimate:
+) -> tuple[float, float]:
     """Analytic strike derivative of the local vol, in log-strike.
 
-    The derivative is taken through the density weights rather than by
-    bumping the strike, so one simulation yields the skew directly; the
-    delta method over the four feature means, corrected by the exact control
-    ``ConditionalLaw.control``, gives the error. Method tag "analytic".
+    Returns (skew, standard error). The derivative is taken through the
+    density weights rather than by bumping the strike, so one simulation
+    yields the skew directly; the delta method over the four feature means,
+    corrected by the exact control ``ConditionalLaw.control``, gives the error.
     """
     law = ConditionalLaw(sig, p, t)
     feats = law.density(k)
     _check_weights(feats[:, 0], t, k)
-    value, se = delta_method(feats, lambda m: law.local_skew(m, k), law.control)
-    return SkewEstimate(maturity=t, value=value, std_error=se, method="analytic")
+    return delta_method(feats, lambda m: law.local_skew(m, k), law.control)
 
 
 def local_vol_curvature_fd(
     sig: SigmaPath, p: RoughBergomiParams, t: float, h: float
-) -> SkewEstimate:
+) -> tuple[float, float]:
     """Log-strike curvature of the local vol by differencing the analytic skew.
 
-    Evaluates the analytic skew at K = S0 e^{+/-h} on the same paths and
-    takes the centered difference, so the error is a joint delta method over
-    the eight feature means and the common noise cancels in the difference.
-    Exact when the skew is linear in log-strike.
+    Returns (curvature, standard error). Evaluates the analytic skew at
+    K = S0 e^{+/-h} on the same paths and takes the centered difference, so
+    the error is a joint delta method over the eight feature means and the
+    common noise cancels in the difference. Exact when the skew is linear in
+    log-strike.
     """
     law = ConditionalLaw(sig, p, t)
     if not (np.isfinite(h) and h > 0):
@@ -126,8 +126,7 @@ def local_vol_curvature_fd(
     up = law.density(kp)
     dn = law.density(km)
     _check_weights(np.minimum(up[:, 0], dn[:, 0]), t, p.s0)
-    value, se = delta_method(np.hstack([up, dn]), lambda m: law.local_curvature(m, h))
-    return SkewEstimate(maturity=t, value=value, std_error=se, method="finite-difference")
+    return delta_method(np.hstack([up, dn]), lambda m: law.local_curvature(m, h))
 
 
 # ---------------------------------------------------------------------------

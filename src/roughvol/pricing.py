@@ -27,7 +27,6 @@ from .models import RoughBergomiParams, SigmaPath, grid_step_index
 __all__ = [
     "ConditionalLaw",
     "ImpliedVolBoundsError",
-    "SkewEstimate",
     "SmileSlice",
     "bs_price",
     "bs_vega",
@@ -154,26 +153,8 @@ def implied_vol(price: float, s: float, k: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Result containers
+# Smile slices
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SkewEstimate:
-    """A strike derivative of the smile in log-strike with its standard error."""
-
-    maturity: float
-    value: float
-    std_error: float
-    method: str
-
-    def __post_init__(self):
-        if not (np.isfinite(self.maturity) and self.maturity > 0):
-            raise ValueError("maturity must be positive and finite")
-        if not np.isfinite(self.value):
-            raise ValueError("value must be finite")
-        if not (self.std_error >= 0 and np.isfinite(self.std_error)):
-            raise ValueError("std_error must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -386,10 +367,12 @@ def mixing_call_price(
 def mixing_put_price(
     sig: SigmaPath, p: RoughBergomiParams, t: float, k: float
 ) -> tuple[float, float]:
-    """Conditional Monte Carlo put price; satisfies parity with the call
-    path by path: call_i - put_i = s_eff_i - k."""
+    """Conditional Monte Carlo put price, k N(-d2) - s_eff N(-d1) per path;
+    priced apart from the call, so parity call - put = s_eff - k checks both."""
     law = ConditionalLaw(sig, p, t)
-    return mean_and_se(law.call(k) - (law.s_eff - k))
+    _validate_strike(k)
+    d1, d2 = bs_d1_d2(law.s_eff, k, t, law.vol)
+    return mean_and_se(k * ndtr(-d2) - law.s_eff * ndtr(-d1))
 
 
 def mixing_smile_slice(
@@ -421,19 +404,18 @@ def mixing_smile_slice(
 
 def implied_skew_digital(
     sig: SigmaPath, p: RoughBergomiParams, t: float
-) -> SkewEstimate:
+) -> tuple[float, float]:
     """ATM implied skew in log-strike without finite differencing.
 
-    The value is ``ConditionalLaw.implied_skew`` at the means of the ATM call
-    and digital columns, both corrected by the exact control
-    ``ConditionalLaw.control``. Its standard error is the joint delta method
-    over both, so the noise of the fitted implied vol is kept.
+    Returns (skew, standard error). The value is ``ConditionalLaw.implied_skew``
+    at the means of the ATM call and digital columns, both corrected by the
+    exact control ``ConditionalLaw.control``. Its standard error is the joint
+    delta method over both, so the noise of the fitted implied vol is kept.
     """
     law = ConditionalLaw(sig, p, t)
     k = p.s0
     features = np.column_stack([law.call(k), law.digital(k)])
-    value, se = delta_method(features, lambda m: law.implied_skew(m, k), law.control)
-    return SkewEstimate(maturity=t, value=value, std_error=se, method="digital")
+    return delta_method(features, lambda m: law.implied_skew(m, k), law.control)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +423,7 @@ def implied_skew_digital(
 # ---------------------------------------------------------------------------
 
 
-def _fd_weights(sl: SmileSlice, order: int) -> tuple[np.ndarray, float]:
+def _fd_read(sl: SmileSlice, order: int) -> tuple[float, float]:
     if sl.strikes.size != 3:
         raise ValueError("finite differences need exactly three strikes")
     logk = np.log(sl.strikes)
@@ -451,29 +433,27 @@ def _fd_weights(sl: SmileSlice, order: int) -> tuple[np.ndarray, float]:
         raise ValueError("log-strike spacing must be uniform for central differences")
     h = 0.5 * (logk[2] - logk[0])
     if order == 1:
-        return np.array([-1.0, 0.0, 1.0]) / (2.0 * h), h
-    return np.array([1.0, -2.0, 1.0]) / (h * h), h
-
-
-def _fd_read(sl: SmileSlice, order: int) -> SkewEstimate:
-    w, _ = _fd_weights(sl, order)
+        w = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
+    else:
+        w = np.array([1.0, -2.0, 1.0]) / (h * h)
     value = float(w @ sl.vols)
     se = math.sqrt(max(float(w @ sl.vol_cov @ w), 0.0))
-    return SkewEstimate(
-        maturity=sl.maturity, value=value, std_error=se, method="finite-difference"
-    )
+    if not (math.isfinite(value) and math.isfinite(se)):
+        raise ValueError(f"finite-difference estimate is not finite: {value!r} +- {se!r}")
+    return value, se
 
 
-def implied_skew_fd(sl: SmileSlice) -> SkewEstimate:
+def implied_skew_fd(sl: SmileSlice) -> tuple[float, float]:
     """Central-difference smile slope in log-strike from a three-strike slice.
 
-    Exact for smiles quadratic in log-strike. The error uses the joint vol
-    covariance, so common-random-number noise cancels instead of adding.
+    Returns (skew, standard error). Exact for smiles quadratic in log-strike.
+    The error uses the joint vol covariance, so common-random-number noise
+    cancels instead of adding.
     """
     return _fd_read(sl, 1)
 
 
-def implied_curvature_fd(sl: SmileSlice) -> SkewEstimate:
+def implied_curvature_fd(sl: SmileSlice) -> tuple[float, float]:
     """Central-difference smile curvature in log-strike; see implied_skew_fd."""
     return _fd_read(sl, 2)
 

@@ -307,14 +307,62 @@ class TestFitPowerLaw:
             fit_power_law(make_series(ts, ts**2), window=(2.0, 3.0))
         with pytest.raises(ValueError, match="lo < hi"):
             fit_power_law(make_series(ts, ts**2), window=(0.5, 0.1))
-        flip = 3.0 * ts**-0.6
-        flip[5] = -flip[5]
-        with pytest.raises(ValueError, match="sign"):
-            fit_power_law(make_series(ts, flip))
-        zeroed = 3.0 * ts**-0.6
-        zeroed[5] = 0.0
-        with pytest.raises(ValueError, match="sign"):
-            fit_power_law(make_series(ts, zeroed))
+
+    def test_one_sign_keeps_the_window(self):
+        fit = fit_power_law(make_series(self.ladder(), np.full(12, -2.0)))
+        assert fit.window == (0.0, 0.25)
+        assert fit.residuals.size == 12
+
+    @pytest.mark.parametrize("late", [-1.0, 0.0])
+    def test_late_flip_or_zero_cuts_the_fit(self, late):
+        ts = self.ladder()
+        vals = 3.0 * ts**-0.6
+        vals[5] = late
+        vals[8] = -1.0  # beyond the cut, not read
+        fit = fit_power_law(make_series(ts, vals))
+        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
+        assert fit.residuals.size == 5
+        assert fit.window == (0.0, 0.5 * (ts[4] + ts[5]))
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    @pytest.mark.parametrize("early", [-1.0, 0.0])
+    def test_early_flip_or_zero_raises(self, index, early):
+        ts = self.ladder()
+        vals = 3.0 * ts**-0.6
+        vals[index] = early
+        with pytest.raises(ArithmeticError, match="'test' changes sign before four"):
+            fit_power_law(make_series(ts, vals))
+
+    @pytest.mark.parametrize("failed", [[0], [3], [7], [0, 4]])
+    def test_nan_points_are_skipped_not_sign_changes(self, failed):
+        # a failed maturity is a NaN point: the fit reads the finite ones and
+        # keeps the window
+        ts = np.geomspace(0.01, 0.2, 8)
+        vals = 3.0 * ts**-0.6
+        vals[failed] = np.nan
+        fit = fit_power_law(make_series(ts, vals))
+        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
+        assert fit.residuals.size == 8 - len(failed)
+        assert fit.window == (0.0, 0.25)
+
+    def test_nan_points_do_not_count_towards_four(self):
+        ts = np.geomspace(0.01, 0.2, 5)
+        vals = 3.0 * ts**-0.6
+        vals[2] = np.nan
+        vals[4] = -1.0
+        with pytest.raises(ArithmeticError, match="changes sign"):
+            fit_power_law(make_series(ts, vals))
+        vals[0] = np.nan
+        with pytest.raises(ValueError, match="got 3"):
+            fit_power_law(make_series(ts, vals))
+
+    def test_sign_change_after_a_nan_point_still_cuts(self):
+        ts = np.geomspace(0.01, 0.2, 8)
+        vals = 3.0 * ts**-0.6
+        vals[1], vals[6] = np.nan, -1.0
+        fit = fit_power_law(make_series(ts, vals))
+        assert fit.residuals.size == 5
+        assert fit.window == (0.0, 0.5 * (ts[5] + ts[6]))
 
     def test_power_law_fit_validation(self):
         with pytest.raises(ValueError, match="r_squared"):
@@ -323,4 +371,5 @@ class TestFitPowerLaw:
                 intercept=0.0,
                 r_squared=1.2,
                 residuals=np.zeros(4),
+                window=(0.0, 0.25),
             )

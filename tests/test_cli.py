@@ -105,6 +105,37 @@ class TestConfigErrors:
         assert err.startswith("config error: cannot create output directory ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, blocked",
+        [
+            ("skew-ratio", ["skew-ratio.csv"]),
+            ("power-law", ["power-law.svg", "power-law.meta.json"]),
+        ],
+    )
+    def test_directory_at_an_output_path_exits_2_before_compute(
+        self, tmp_path, capsys, monkeypatch, experiment, blocked
+    ):
+        def no_run(config):
+            raise AssertionError("run_experiment called with an unwritable output path")
+
+        monkeypatch.setattr("roughvol.cli.run_experiment", no_run)
+        for name in blocked:
+            (tmp_path / name).mkdir()
+        code = main([experiment, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        listed = ", ".join(str(tmp_path / name) for name in blocked)
+        assert err == f"config error: output paths are directories: {listed}\n"
+
+    def test_directory_at_the_svg_path_is_ignored_without_svg_output(self, tmp_path, capsys):
+        (tmp_path / "sabr-curvature.svg").mkdir()
+        config = write_config(tmp_path, {"maturities": [0.01, 0.1]})
+        code = main(
+            ["sabr-curvature", "--config", config, "--out", str(tmp_path), "--format", "csv"]
+        )
+        assert code == 0
+        assert (tmp_path / "sabr-curvature.csv").is_file()
+
     def test_removed_keys_exit_2_in_one_message(self, tmp_path, capsys):
         payload = dict(TINY_SKEW, skew_bump=0.005, curvature_bump=0.05, window=[0.0, 0.25])
         config = write_config(tmp_path, payload)

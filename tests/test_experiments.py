@@ -10,12 +10,12 @@ import pytest
 
 import roughvol.experiments as experiments
 import roughvol.gaussian as gaussian
+import roughvol.pricing as pricing
 from roughvol._stats import delta_method
 from roughvol.asymptotics import TermSeries, local_curv_from_implied, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
     ExperimentConfig,
-    _fit_with_shrink,
     run_experiment,
     run_power_law,
     run_sabr_curvature,
@@ -319,8 +319,7 @@ class TestSkewControl:
         for seed in range(40):
             sig = bergomi_sigma_path(simulate_joint_paths(grid, p.hurst, 8192, seed), p)
             ratios.append(experiments._skew_ratio_with_se(sig, p, t))
-            skew = implied_skew_digital(sig, p, t)
-            skews.append((skew.value, skew.std_error))
+            skews.append(implied_skew_digital(sig, p, t))
         for pairs in (ratios, skews):
             values, ses = np.array(pairs).T
             assert 0.7 <= values.std(ddof=1) / ses.mean() <= 1.4
@@ -497,60 +496,6 @@ class TestRunSabrCurvature:
         assert len(result.flags) == 1  # deduplicated
 
 
-class TestFitWithShrink:
-    def make_series(self, values, label="curv"):
-        ts = np.geomspace(0.01, 0.2, len(values))
-        return TermSeries(ts, np.asarray(values, float), np.zeros(len(values)), label)
-
-    def test_clean_series_untouched(self):
-        ts = np.geomspace(0.01, 0.2, 6)
-        series = TermSeries(ts, 3.0 * ts**-0.6, np.zeros(6), "curv")
-        notes = []
-        fit = _fit_with_shrink(series, (0.0, 0.25), notes)
-        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
-        assert notes == []
-
-    def test_sign_change_shrinks_window(self):
-        ts = np.geomspace(0.01, 0.2, 7)
-        values = 3.0 * ts**-0.6
-        values[5] = -1.0  # late flip: five clean points remain
-        series = TermSeries(ts, values, np.zeros(7), "curv")
-        notes = []
-        with pytest.warns(UserWarning, match="sign change"):
-            fit = _fit_with_shrink(series, (0.0, 0.25), notes)
-        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
-        assert len(notes) == 1 and "shrunk" in notes[0]
-
-    def test_early_sign_change_raises(self):
-        series = self.make_series([1.0, -1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ArithmeticError, match="changes sign"):
-            _fit_with_shrink(series, (0.0, 0.25), [])
-
-    @pytest.mark.parametrize("failed", [[0], [3], [7], [0, 4]])
-    def test_failed_rows_are_skipped_not_sign_changes(self, failed):
-        # a failed maturity is a NaN row: the fit uses the finite rows, keeps
-        # the window and writes no note
-        ts = np.geomspace(0.01, 0.2, 8)
-        values = 3.0 * ts**-0.6
-        values[failed] = np.nan
-        ses = np.where(np.isnan(values), np.nan, 0.0)
-        notes = []
-        fit = _fit_with_shrink(TermSeries(ts, values, ses, "curv"), (0.0, 0.25), notes)
-        assert fit.exponent == pytest.approx(-0.6, abs=1e-12)
-        assert fit.residuals.size == 8 - len(failed)
-        assert notes == []
-
-    def test_sign_change_after_a_failed_row_still_shrinks(self):
-        ts = np.geomspace(0.01, 0.2, 8)
-        values = 3.0 * ts**-0.6
-        values[1], values[6] = np.nan, -1.0
-        notes = []
-        with pytest.warns(UserWarning, match="sign change"):
-            fit = _fit_with_shrink(TermSeries(ts, values, np.zeros(8), "curv"), (0.0, 0.25), notes)
-        assert fit.residuals.size == 5
-        assert len(notes) == 1 and f"{0.5 * (ts[5] + ts[6]):.6g}" in notes[0]
-
-
 class TestRunPowerLaw:
     @pytest.fixture
     def result(self, power_result):
@@ -611,6 +556,31 @@ class TestRunPowerLaw:
         for series in result.plot_series:
             assert np.all(series.values >= 0)
 
+    def test_late_sign_change_is_a_note_and_a_warning(self, monkeypatch):
+        # curv_iv flips at the sixth of seven maturities: the fit keeps the
+        # first five, and the note names the cut window
+        ts = np.geomspace(0.01, 0.2, 7)
+
+        def curv_iv(sl):
+            return (-1.0 if sl.maturity == ts[5] else 3.0 * sl.maturity**-0.6), 0.1
+
+        monkeypatch.setattr(experiments, "implied_curvature_fd", curv_iv)
+        monkeypatch.setattr(
+            experiments, "local_vol_curvature_fd", lambda sig, p, t, h: (t**-0.6, 0.1)
+        )
+        with pytest.warns(UserWarning, match="sign change inside window") as caught:
+            result = run_power_law(tiny_config("power-law", maturities=list(ts)))
+        hi = 0.5 * (ts[4] + ts[5])
+        assert result.notes == (
+            f"implied ATM curvature: sign change inside window, shrunk to (0, {hi:.6g})",
+        )
+        warned = [str(w.message) for w in caught if "sign change" in str(w.message)]
+        assert tuple(warned) == result.notes
+        assert result.fits["curv_iv"].window == (0.0, hi)
+        assert result.fits["curv_iv"].residuals.size == 5
+        assert result.fits["curv_lv"].window == (0.0, 0.25)
+        assert result.flags == ()
+
 
 class TestWriteOutputs:
     def test_csv_svg_meta_files(self, tmp_path):
@@ -656,6 +626,15 @@ class TestWriteOutputs:
 
 
 class TestSelftest:
+    def test_parity_check_catches_a_mispriced_call(self, monkeypatch):
+        # a call 1% of spot too dear must break put-call parity
+        real = pricing.bs_price
+        monkeypatch.setattr(
+            pricing, "bs_price", lambda s, k, t, sigma: real(s, k, t, sigma) + 0.01 * s
+        )
+        check = experiments._martingale_parity_check(1, 4000, 16)
+        assert not check.passed, check.detail
+
     def test_all_checks_pass_small(self):
         checks = run_selftest(n_paths=4000, n_steps=32)
         assert len(checks) == 5

@@ -9,6 +9,7 @@ from scipy import special
 
 from oracles import volterra_autocovariance_quad
 from roughvol import gaussian
+from roughvol.experiments import _INT_RANGES
 from roughvol.gaussian import (
     SimGrid,
     orthogonal_increments,
@@ -204,9 +205,12 @@ class TestSimulateJointPaths:
             assert b.jitter == 0.0
 
     def test_step_cap_enforced(self):
-        g = SimGrid(1.0, 4096)
-        with pytest.raises(ValueError, match="cap"):
+        # one cap, read by the engine and by the config's n_steps range
+        assert gaussian.MAX_STEPS == 2048
+        g = SimGrid(1.0, gaussian.MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="cap of 2048"):
             simulate_joint_paths(g, 0.3, 2, seed=0)
+        assert _INT_RANGES["n_steps"] == (1, gaussian.MAX_STEPS)
 
     def test_rejects_bad_hurst_and_counts(self):
         g = SimGrid(1.0, 8)

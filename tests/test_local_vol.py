@@ -92,26 +92,24 @@ class TestMixingLocalVolSkew:
     def test_nu_zero(self):
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=0.0, rho=-0.5, hurst=0.3)
         sig = _simulated(p, paths=50)
-        est = mixing_local_vol_skew(sig, p, 0.25, 100.0)
-        assert est.value == 0.0 and est.std_error == 0.0
-        assert est.method == "analytic"
+        assert mixing_local_vol_skew(sig, p, 0.25, 100.0) == (0.0, 0.0)
 
     def test_negative_for_negative_rho(self):
         sig = _simulated(BERGOMI)
-        est = mixing_local_vol_skew(sig, BERGOMI, 0.25, 100.0)
-        assert est.value < 0
-        assert abs(est.value) > 5.0 * est.std_error
+        value, se = mixing_local_vol_skew(sig, BERGOMI, 0.25, 100.0)
+        assert value < 0
+        assert abs(value) > 5.0 * se
 
     def test_matches_fd_of_level(self):
         # centered FD of the level at K +/- 0.01*S0 on the same paths
         sig = _simulated(BERGOMI)
-        an = mixing_local_vol_skew(sig, BERGOMI, 0.25, 100.0)
+        an, an_se = mixing_local_vol_skew(sig, BERGOMI, 0.25, 100.0)
         law = ConditionalLaw(sig, BERGOMI, 0.25)
         feats = np.hstack([law.density(101.0)[:, :2], law.density(99.0)[:, :2]])
         fd, fd_se = delta_method(
             feats, lambda m: 100.0 * (law.local_vol(m[:2]) - law.local_vol(m[2:])) / 2.0
         )
-        assert abs(an.value - fd) < 3.0 * math.hypot(an.std_error, fd_se)
+        assert abs(an - fd) < 3.0 * math.hypot(an_se, fd_se)
 
     def test_is_the_small_bump_limit_of_fd(self):
         # on fixed paths the FD-analytic gap is pure truncation: it must
@@ -137,20 +135,19 @@ class TestMixingLocalVolSkew:
         # allow the finite-T correction and the MC noise at this size
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.5)
         sig = _simulated(p, t=0.01, steps=64, paths=40000, seed=9)
-        lv = mixing_local_vol_skew(sig, p, 0.01, 100.0)
+        lv, _ = mixing_local_vol_skew(sig, p, 0.01, 100.0)
         h = 0.01
         ks = [100.0 * math.exp(-h), 100.0, 100.0 * math.exp(h)]
-        iv = implied_skew_fd(mixing_smile_slice(sig, p, 0.01, ks))
-        assert lv.value < 0 and iv.value < 0
-        assert 1.6 < lv.value / iv.value < 2.6
+        iv, _ = implied_skew_fd(mixing_smile_slice(sig, p, 0.01, ks))
+        assert lv < 0 and iv < 0
+        assert 1.6 < lv / iv < 2.6
 
 
 class TestLocalVolCurvatureFd:
     def test_nu_zero(self):
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=0.0, rho=-0.5, hurst=0.3)
         sig = _simulated(p, paths=50)
-        est = local_vol_curvature_fd(sig, p, 0.25, 0.05)
-        assert est.value == 0.0 and est.std_error == 0.0
+        assert local_vol_curvature_fd(sig, p, 0.25, 0.05) == (0.0, 0.0)
 
     def test_rejects_bad_bump(self):
         sig = _simulated(BERGOMI)
@@ -164,9 +161,9 @@ class TestLocalVolCurvatureFd:
             ConditionalLaw, "local_skew", lambda self, m, k: -0.2 + 1.5 * math.log(k / 100.0)
         )
         sig = _simulated(BERGOMI, paths=500, seed=4)
-        est = local_vol_curvature_fd(sig, BERGOMI, 0.25, 0.05)
-        assert est.value == pytest.approx(1.5, abs=1e-10)
-        assert est.std_error == pytest.approx(0.0, abs=1e-12)
+        value, se = local_vol_curvature_fd(sig, BERGOMI, 0.25, 0.05)
+        assert value == pytest.approx(1.5, abs=1e-10)
+        assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_local_curvature_exceeds_implied_at_short_maturity(self):
         # diffusive vol-of-vol model: the local smile bends more than the
@@ -174,12 +171,10 @@ class TestLocalVolCurvatureFd:
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.5)
         sig = _simulated(p, t=0.1, steps=64, paths=60000, seed=9)
         h = 0.1
-        c_loc = local_vol_curvature_fd(sig, p, 0.1, h)
+        c_loc, c_loc_se = local_vol_curvature_fd(sig, p, 0.1, h)
         ks = [100.0 * math.exp(-h), 100.0, 100.0 * math.exp(h)]
-        c_imp = implied_curvature_fd(mixing_smile_slice(sig, p, 0.1, ks))
-        assert c_loc.value - c_imp.value > 3.0 * math.hypot(
-            c_loc.std_error, c_imp.std_error
-        )
+        c_imp, c_imp_se = implied_curvature_fd(mixing_smile_slice(sig, p, 0.1, ks))
+        assert c_loc - c_imp > 3.0 * math.hypot(c_loc_se, c_imp_se)
 
 
 class TestDupire:

@@ -14,7 +14,6 @@ from roughvol.models import sabr_implied_vol
 from roughvol.pricing import (
     ConditionalLaw,
     ImpliedVolBoundsError,
-    SkewEstimate,
     SmileSlice,
     bs_d1_d2,
     bs_price,
@@ -85,6 +84,19 @@ class TestStats:
         grad = np.array([1.0 / mu[1], -mu[0] / mu[1] ** 2])
         assert v == pytest.approx(mu[0] / mu[1])
         assert se == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "g", [lambda m: math.nan, lambda m: math.inf, lambda m: math.inf if m[0] > 0.5 else 0.0]
+    )
+    def test_delta_method_refuses_a_non_finite_estimate(self, g):
+        # a NaN or infinite map, or a finite value at the means (0.5) with an
+        # infinite gradient
+        feats = np.array([[0.0], [1.0], [0.5]])
+        with pytest.raises(ValueError, match="not finite"):
+            delta_method(feats, g)
+
+    def test_delta_method_with_one_path_has_an_infinite_error(self):
+        assert delta_method(np.array([[2.0]]), lambda m: m[0]) == (2.0, math.inf)
 
     def test_control_removes_its_own_noise(self):
         # s_eff with the exact control s_eff - s0 is s0 up to round-off. The
@@ -268,7 +280,7 @@ class TestMixingEstimators:
         sl = mixing_smile_slice(sig, p, 0.25, [95.0, 100.0, 105.0])
         np.testing.assert_allclose(sl.vols, 0.3)
         np.testing.assert_allclose(sl.std_errors, 0.0)
-        assert implied_skew_digital(sig, p, 0.25).value == pytest.approx(0.0, abs=1e-12)
+        assert implied_skew_digital(sig, p, 0.25)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_digital_matches_indicator_when_uncorrelated(self):
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=0.0, hurst=0.2)
@@ -365,8 +377,8 @@ class TestSmileSlice:
 
     def test_fd_exact_on_quadratics(self):
         sl = _quadratic_slice(a=0.3, b=-0.21, c=0.8)
-        assert implied_skew_fd(sl).value == pytest.approx(-0.21, abs=1e-12)
-        assert implied_curvature_fd(sl).value == pytest.approx(1.6, abs=1e-10)
+        assert implied_skew_fd(sl)[0] == pytest.approx(-0.21, abs=1e-12)
+        assert implied_curvature_fd(sl)[0] == pytest.approx(1.6, abs=1e-10)
 
     def test_fd_rejects_nonuniform_spacing(self):
         ks = [90.0, 100.0, 111.0]
@@ -384,9 +396,14 @@ class TestSmileSlice:
         # centered difference removes it; the diagonal reading keeps it.
         cov = np.full((3, 3), 1e-6)
         sl = _quadratic_slice(0.3, -0.2, 0.5, cov=cov)
-        assert implied_skew_fd(sl).std_error == pytest.approx(0.0, abs=1e-12)
+        assert implied_skew_fd(sl)[1] == pytest.approx(0.0, abs=1e-12)
         sl_diag = _quadratic_slice(0.3, -0.2, 0.5, cov=np.diag(np.full(3, 1e-6)))
-        assert implied_skew_fd(sl_diag).std_error > 0
+        assert implied_skew_fd(sl_diag)[1] > 0
+
+    def test_fd_refuses_a_non_finite_error(self):
+        sl = _quadratic_slice(0.3, -0.2, 0.5, cov=np.diag([math.inf, 1e-6, 1e-6]))
+        with pytest.raises(ValueError, match="not finite"):
+            implied_skew_fd(sl)
 
     def test_fd_converges_on_smooth_smile(self):
         sabr = SabrParams(alpha=0.3, nu=0.6, rho=-0.6, s0=100.0)
@@ -397,7 +414,7 @@ class TestSmileSlice:
             ks = 100.0 * np.exp(np.array([-h, 0.0, h]))
             vols = np.array([sabr_implied_vol(float(k), t, sabr) for k in ks])
             sl = SmileSlice(t, ks, vols, np.diag(np.full(3, 1e-6) ** 2))
-            errs.append(abs(implied_skew_fd(sl).value - skew_exact))
+            errs.append(abs(implied_skew_fd(sl)[0] - skew_exact))
         assert errs[0] < 1e-4
         assert errs[1] < errs[0] / 3.0  # second-order shrink
 
@@ -415,16 +432,14 @@ class TestSmileSlice:
 
     def test_digital_and_fd_skew_agree(self):
         sig, _ = _simulated(BERGOMI)
-        dig = implied_skew_digital(sig, BERGOMI, 0.25)
+        dig, dig_se = implied_skew_digital(sig, BERGOMI, 0.25)
         h = 0.01
         ks = [100.0 * math.exp(-h), 100.0, 100.0 * math.exp(h)]
         sl = mixing_smile_slice(sig, BERGOMI, 0.25, ks)
-        fd = implied_skew_fd(sl)
-        assert dig.method == "digital"
-        assert fd.method == "finite-difference"
+        fd, fd_se = implied_skew_fd(sl)
         # same target up to O(h^2) bias, which is far below the MC noise here
-        assert abs(dig.value - fd.value) < 4.0 * math.hypot(dig.std_error, fd.std_error) + 5e-4
-        assert dig.value < 0  # negative skew for rho < 0
+        assert abs(dig - fd) < 4.0 * math.hypot(dig_se, fd_se) + 5e-4
+        assert dig < 0  # negative skew for rho < 0
 
     @pytest.mark.parametrize("t", [0.004, 0.05, 1.0])
     def test_digital_skew_error_is_joint_over_call_and_digital(self, t):
@@ -434,7 +449,7 @@ class TestSmileSlice:
         # the money and dvega/dI = vega d1 d2 / I. Both means and their
         # covariance are those left after the regression on the control.
         sig, _ = _simulated(BERGOMI, t=t, steps=32)
-        est = implied_skew_digital(sig, BERGOMI, t)
+        value, se = implied_skew_digital(sig, BERGOMI, t)
         law = ConditionalLaw(sig, BERGOMI, t)
         feats = np.column_stack([law.call(100.0), law.digital(100.0)])
         n = feats.shape[0]
@@ -448,15 +463,7 @@ class TestSmileSlice:
         phi2 = math.exp(-0.5 * d2 * d2) / math.sqrt(2.0 * math.pi)
         ds_di = 100.0 * (-phi2 * math.sqrt(t) / 2.0 - (ndtr(d2) - digital) * d1 * d2 / iv) / vega
         grad = np.array([ds_di / vega, -100.0 / vega])
-        assert est.value == pytest.approx(100.0 * (ndtr(d2) - digital) / vega, rel=1e-12)
-        assert est.std_error == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-9)
+        assert value == pytest.approx(100.0 * (ndtr(d2) - digital) / vega, rel=1e-12)
+        assert se == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-9)
         # the digital-only error misses the noise of the fitted implied vol
-        assert est.std_error > 100.0 * math.sqrt(cov[1, 1]) / vega
-
-    def test_skew_estimate_validation(self):
-        with pytest.raises(ValueError):
-            SkewEstimate(maturity=-1.0, value=0.1, std_error=0.0, method="digital")
-        with pytest.raises(ValueError):
-            SkewEstimate(maturity=0.25, value=math.inf, std_error=0.0, method="digital")
-        with pytest.raises(ValueError):
-            SkewEstimate(maturity=0.25, value=0.1, std_error=math.inf, method="digital")
+        assert se > 100.0 * math.sqrt(cov[1, 1]) / vega

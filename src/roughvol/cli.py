@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success, 2 on configuration errors (reported before any
 compute), 3 on numerical failure (non-convergence, flagged estimates, or
-path arrays too large for the host).
+path arrays too large for the host) or on outputs that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -77,6 +78,19 @@ def _load_config_file(path: str) -> dict:
     return document
 
 
+def _unwritable(path: Path) -> Optional[str]:
+    """Why a file cannot be written at ``path``, or None if nothing shows it."""
+    try:
+        target = path.resolve()
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        return str(exc)
+    if not target.parent.is_dir():
+        return f"{target.parent} is not a directory"
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _selftest(args: argparse.Namespace) -> int:
     given = {"seed": args.seed, "n_paths": args.paths, "n_steps": args.steps}
     errors: List[str] = []
@@ -127,10 +141,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    # a directory at an output file path would fail only after the whole run
-    blocked = [str(path) for path in _output_paths(config).values() if path.is_dir()]
+    # an output path that cannot be written would fail only after the whole run
+    paths = _output_paths(config).values()
+    blocked = [str(path) for path in paths if path.is_dir()]
     if blocked:
         print(f"config error: output paths are directories: {', '.join(blocked)}", file=sys.stderr)
+        return 2
+    unwritable = [f"{path} ({why})" for path in paths if (why := _unwritable(path))]
+    if unwritable:
+        print(f"config error: cannot write output paths: {', '.join(unwritable)}", file=sys.stderr)
         return 2
 
     try:
@@ -138,6 +157,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         written = write_outputs(result)
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"output error: cannot write outputs: {exc}", file=sys.stderr)
         return 3
 
     for path in written:

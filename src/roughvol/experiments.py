@@ -97,9 +97,10 @@ _DEFAULT_LADDER: Dict[str, Dict[str, float]] = {
 }
 # Paths of one maturity are produced in groups of this many 4096-path blocks.
 # One 65536 x 256 maturity on 2 cores, median wall and peak RSS of 3 runs:
-# 2 blocks 1.35 s, 159 MB (each group's draws wait on the previous group's
-# W^H products); 4 blocks 1.15 s, 251 MB (171 MB of arrays); 8 blocks
-# 1.07 s, 419 MB. As one batch the process peaked at 745 MB.
+# 2 blocks 1.49 s, 136 MB (each group's draws wait on the previous group's
+# W^H products); 4 blocks 1.27 s, 163 MB (82 MB of arrays: the 67 MB
+# (dW, W^H) buffer and the sigma scratch); 8 blocks 1.21 s, 230 MB. As one
+# batch the process peaked at 745 MB.
 _GROUP_BLOCKS = 4
 # Accepted ranges of the integer settings, shared with the selftest flags.
 _INT_RANGES: Dict[str, Tuple[int, int]] = {
@@ -397,7 +398,7 @@ def _simulate(
         batch = simulate_joint_paths(grid, p.hurst, n_rows, seed, start // gaussian._BLOCK)
         method = batch.factorization
         factorization[method] = max(factorization.get(method, 0.0), batch.jitter)
-        sig = bergomi_sigma_path(batch, p)
+        sig = bergomi_sigma_path(batch, p, terminal=True)
         ends[:, start : start + n_rows, 0] = sig.terminal_sigma(), sig.total_var(), sig.total_sdw()
         del batch, sig  # free the group before the next one is drawn
     return SigmaPath(SimGrid(t, 1), *ends)

@@ -3,7 +3,9 @@
 Rough Bergomi builds sigma paths on simulated Volterra noise together with the
 running integrals every conditional (mixing) estimator needs. The three path
 arrays are filled in place, chunk of rows by chunk of rows on the path
-layer's thread pool, with no full-size temporary. SABR (beta = 1)
+layer's thread pool, with no full-size temporary. Callers that read only
+sigma_T, V and M ask for those alone: each pool job then reuses one
+chunk-sized scratch, so no n_paths x n_steps array is written. SABR (beta = 1)
 is fully analytic here: local-vol equivalent, implied vol, and their ATM
 log-strike curvatures.
 """
@@ -32,7 +34,8 @@ __all__ = [
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
 _SABR_SERIES_THRESHOLD = 1e-4
 
-# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool.
+# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool,
+# or with terminal=True the rows of the one scratch a job reuses.
 _CHUNK_ROWS = 1024
 
 
@@ -181,11 +184,18 @@ def grid_step_index(sig: SigmaPath, t: float) -> int:
     return n
 
 
-def bergomi_sigma_path(batch: PathBatch, p: RoughBergomiParams) -> SigmaPath:
+def bergomi_sigma_path(
+    batch: PathBatch, p: RoughBergomiParams, terminal: bool = False
+) -> SigmaPath:
     """Rough Bergomi sigma path and running integrals from a simulated batch.
 
     sigma is evaluated pointwise from wh; the integrals use the left-point
     (Ito) convention, which keeps int sigma dW a martingale increment sum.
+
+    With ``terminal`` only sigma_T, V and M are kept, as a SigmaPath on
+    SimGrid(T, 1): each pool job fills one chunk-sized scratch, chunk after
+    chunk, and copies out its last columns. The values are bitwise the last
+    columns of the full arrays.
 
     Raises
     ------
@@ -202,13 +212,10 @@ def bergomi_sigma_path(batch: PathBatch, p: RoughBergomiParams) -> SigmaPath:
     scale = p.nu * math.sqrt(h2)
     drift = 0.5 * p.nu**2 * grid.times**h2
     first_var = p.sigma0 * p.sigma0 * grid.dt
-    sigma = np.empty((n_paths, n))
-    int_var = np.empty((n_paths, n))
-    int_sdw = np.empty((n_paths, n))
+    n_chunks = -(-n_paths // _CHUNK_ROWS)
 
-    def fill(c: int) -> None:
-        rows = slice(c * _CHUNK_ROWS, (c + 1) * _CHUNK_ROWS)
-        s, v, m, dW = sigma[rows], int_var[rows], int_sdw[rows], batch.dW[rows]
+    def fill(rows: slice, s: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
+        dW = batch.dW[rows]
         np.multiply(batch.wh[rows], scale, out=s)
         np.subtract(s, drift, out=s)
         np.exp(s, out=s)
@@ -222,8 +229,31 @@ def bergomi_sigma_path(batch: PathBatch, p: RoughBergomiParams) -> SigmaPath:
         np.multiply(s[:, :-1], dW[:, 1:], out=m[:, 1:])
         np.cumsum(m, axis=1, out=m)
 
-    gaussian._fan_out(fill, -(-n_paths // _CHUNK_ROWS))
-    return SigmaPath(grid=grid, sigma=sigma, int_var=int_var, int_sdw=int_sdw)
+    if not terminal:
+        sigma = np.empty((n_paths, n))
+        int_var = np.empty((n_paths, n))
+        int_sdw = np.empty((n_paths, n))
+
+        def fill_chunk(c: int) -> None:
+            rows = slice(c * _CHUNK_ROWS, (c + 1) * _CHUNK_ROWS)
+            fill(rows, sigma[rows], int_var[rows], int_sdw[rows])
+
+        gaussian._fan_out(fill_chunk, n_chunks)
+        return SigmaPath(grid=grid, sigma=sigma, int_var=int_var, int_sdw=int_sdw)
+
+    ends = np.empty((3, n_paths, 1))
+    jobs = min(gaussian._WORKERS, n_chunks)
+
+    def fill_terminal(job: int) -> None:
+        scratch = np.empty((3, min(_CHUNK_ROWS, n_paths), n))
+        for c in range(job, n_chunks, jobs):
+            rows = slice(c * _CHUNK_ROWS, min((c + 1) * _CHUNK_ROWS, n_paths))
+            chunk = scratch[:, : rows.stop - rows.start]
+            fill(rows, *chunk)
+            ends[:, rows] = chunk[:, :, -1:]
+
+    gaussian._fan_out(fill_terminal, jobs)
+    return SigmaPath(SimGrid(grid.maturity, 1), *ends)
 
 
 def _sabr_y(K: float, p: SabrParams) -> float:

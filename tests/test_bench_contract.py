@@ -134,9 +134,10 @@ def test_traced_child_feeds_every_layer_metric(shape, tmp_path, bench_run):
         assert metrics["pricing.implied_vol_calls"] > 0
     if shape == "skew-ratio-groups":
         # the runner calls the wrapped names once per 16384-path group, so the
-        # array gauges read one group's (dW, W^H) and (sigma, V, M) bytes
+        # array gauges read one group's (dW, W^H) bytes and the terminal
+        # (sigma_T, V, M) columns it keeps
         group, n = 4 * 4096, 16
         assert sum(name == "gaussian.simulate" for name, *_ in trace["spans"]) == 2 * 2
         assert metrics["gaussian.array_mb"] == group * 2 * n * 8 / 1e6
-        assert metrics["models.array_mb"] == group * 3 * n * 8 / 1e6
+        assert metrics["models.array_mb"] == group * 3 * 8 / 1e6
         assert metrics["gaussian.matmul_gflop"] == pytest.approx(2 * 4.0 * n * n * 20480 / 1e9)

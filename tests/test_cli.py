@@ -127,6 +127,21 @@ class TestConfigErrors:
         listed = ", ".join(str(tmp_path / name) for name in blocked)
         assert err == f"config error: output paths are directories: {listed}\n"
 
+    def test_dangling_symlink_at_an_output_path_exits_2_before_compute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(config):
+            raise AssertionError("run_experiment called with an unwritable output path")
+
+        monkeypatch.setattr("roughvol.cli.run_experiment", no_run)
+        link = tmp_path / "skew-ratio.csv"
+        link.symlink_to(tmp_path / "missing" / "x.csv")
+        code = main(["skew-ratio", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        missing = (tmp_path / "missing").resolve()
+        assert err == f"config error: cannot write output paths: {link} ({missing} is not a directory)\n"
+
     def test_directory_at_the_svg_path_is_ignored_without_svg_output(self, tmp_path, capsys):
         (tmp_path / "sabr-curvature.svg").mkdir()
         config = write_config(tmp_path, {"maturities": [0.01, 0.1]})
@@ -269,6 +284,19 @@ class TestRuns:
         assert "flag:" in captured.err
         assert "numerical failure" in captured.err
         assert (out / "skew-ratio.csv").exists()  # outputs still land for inspection
+
+    def test_failed_write_exits_3_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # an output path that breaks after the up-front check: the write fails
+        monkeypatch.setattr("roughvol.cli._unwritable", lambda path: None)
+        config = write_config(tmp_path, {"maturities": [0.01, 0.1]})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sabr-curvature.csv").symlink_to(tmp_path / "missing" / "x.csv")
+        code = main(["sabr-curvature", "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("output error: cannot write outputs: [Errno 2] ")
+        assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("ignore")  # two paths: low-weight and overflow warnings
     def test_failed_estimators_exit_3_with_outputs(self, tmp_path, capsys):

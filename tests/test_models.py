@@ -185,6 +185,39 @@ class TestChunkedSigmaPath:
         assert runs[0] == runs[1]
 
 
+class TestTerminalSigmaPath:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "n_paths", [1, models._CHUNK_ROWS - 1, models._CHUNK_ROWS + 1, 3 * 4096 + 1]
+    )
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    def test_equals_last_columns_of_full_arrays_bitwise(self, H, n_paths, workers, monkeypatch):
+        p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=H)
+        batch = simulate_joint_paths(SimGrid(0.3, 8), H, n_paths, seed=12)
+        full = bergomi_sigma_path(batch, p)
+        monkeypatch.setattr(gaussian, "_WORKERS", workers)
+        end = bergomi_sigma_path(batch, p, terminal=True)
+        assert [end.sigma.tobytes(), end.int_var.tobytes(), end.int_sdw.tobytes()] == [
+            full.sigma[:, -1:].tobytes(),
+            full.int_var[:, -1:].tobytes(),
+            full.int_sdw[:, -1:].tobytes(),
+        ]
+
+    def test_grid_is_the_one_step_grid(self):
+        batch = simulate_joint_paths(SimGrid(0.7, 24), 0.2, 5, seed=2)
+        assert bergomi_sigma_path(batch, BERGOMI, terminal=True).grid == SimGrid(0.7, 1)
+
+    def test_nu_zero_terminal_sigma_is_sigma0(self):
+        p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=0.0, rho=-0.6, hurst=0.2)
+        batch = simulate_joint_paths(SimGrid(2.0, 8), 0.2, 10, seed=1)
+        assert np.all(bergomi_sigma_path(batch, p, terminal=True).terminal_sigma() == 0.3)
+
+    def test_hurst_mismatch_rejected(self):
+        batch = simulate_joint_paths(SimGrid(1.0, 8), 0.3, 5, seed=0)
+        with pytest.raises(ValueError, match="hurst"):
+            bergomi_sigma_path(batch, BERGOMI, terminal=True)
+
+
 def log_strike_fd(vol, K: float, h: float = 1e-4) -> tuple[float, float]:
     """Central (slope, curvature) of vol in log-strike k = log K at strike K."""
     up, mid, dn = vol(K * math.exp(h)), vol(K), vol(K * math.exp(-h))

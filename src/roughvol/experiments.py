@@ -97,10 +97,9 @@ _DEFAULT_LADDER: Dict[str, Dict[str, float]] = {
 }
 # Paths of one maturity are produced in groups of this many 4096-path blocks.
 # One 65536 x 256 maturity on 2 cores, median wall and peak RSS of 3 runs:
-# 2 blocks 1.49 s, 136 MB (each group's draws wait on the previous group's
-# W^H products); 4 blocks 1.27 s, 163 MB (82 MB of arrays: the 67 MB
-# (dW, W^H) buffer and the sigma scratch); 8 blocks 1.21 s, 230 MB. As one
-# batch the process peaked at 745 MB.
+# 2 blocks 1.01 s, 121 MB (each group's draws wait on the previous group's
+# W^H products); 4 blocks 0.94 s, 154 MB (the 67 MB (dW, W^H) buffer is the
+# largest array); 8 blocks 0.94 s, 221 MB. As one batch: 1.01 s, 356 MB.
 _GROUP_BLOCKS = 4
 # Accepted ranges of the integer settings, shared with the selftest flags.
 _INT_RANGES: Dict[str, Tuple[int, int]] = {

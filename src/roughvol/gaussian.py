@@ -10,18 +10,22 @@ every maturity with the same step count and Hurst index.
 Normals are drawn in fixed blocks of 4096 paths, one Philox stream per block.
 All blocks of a batch are drawn in one pass straight into the path buffer,
 up to four blocks at a time in parallel by a short-lived thread pool; the
-W^H products then run block by block on the caller's thread, in place on
-that buffer. Every value depends only on (seed, block), never on the number
-of worker threads. A batch may start at any block (``first_block``), so a
-caller can produce a large path set group by group: the rows of a group are
-bitwise the matching rows of the whole batch.
+W^H products then run in place on that buffer, in row pieces of at least
+1024 rows on the same pool at one BLAS thread; a shorter block is padded to
+1024 rows, as OpenBLAS multiplies fewer rows with other kernels and bits.
+Every value depends only on (seed, block), never on the number of worker
+threads or on n_paths. A batch may start at any block (``first_block``), so
+a caller can produce a large path set group by group: the rows of a group
+are bitwise the matching rows of the whole batch.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,7 @@ _BLOCK = 4096
 _LEG_JOINT = 0
 _LEG_ORTHOGONAL = 1
 MAX_STEPS = 2048  # largest n_steps: the conditional covariance is factorized densely
+_PIECE = 1024  # fewest rows of a W^H product call (see the module docstring)
 
 
 def _usable_cores() -> int:
@@ -230,13 +235,13 @@ def _grid_factors(grid: SimGrid, H: float) -> tuple[np.ndarray, np.ndarray, str,
     return coef * T ** (H - 0.5), L * T**H, method, jitter * T ** (2.0 * H)
 
 
-def _fan_out(job, n_jobs: int) -> None:
-    """Run job(0), ..., job(n_jobs - 1) on a pool of up to _WORKERS threads.
+def _fan_out(job, n_jobs: int, workers: int | None = None) -> None:
+    """Run job(0), ..., job(n_jobs - 1) on up to ``workers`` (default _WORKERS) threads.
 
     The jobs must write disjoint memory; with one job or one worker they run
     inline on the caller's thread. A job's exception is re-raised here.
     """
-    workers = min(_WORKERS, n_jobs)
+    workers = min(_WORKERS if workers is None else workers, n_jobs)
     if workers <= 1:
         for i in range(n_jobs):
             job(i)
@@ -244,6 +249,54 @@ def _fan_out(job, n_jobs: int) -> None:
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(job, range(n_jobs)):
             pass
+
+
+_OPENBLAS: list | None = None  # found at the first pooled product
+_OPENBLAS_GET = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+                 "scipy_openblas_get_num_threads64_")
+
+
+def _openblas_threads() -> list:
+    """Thread-count (get, set) pairs of every OpenBLAS copy in /proc/self/maps
+    (numpy's and scipy's wheels each bundle one); if empty, nothing is pooled."""
+    global _OPENBLAS
+    if _OPENBLAS is None:
+        _OPENBLAS = []
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = {line.split(None, 5)[-1].rstrip() for line in maps if "openblas" in line}
+            for path in sorted(paths):
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                pairs = [(getattr(lib, g, None), getattr(lib, g.replace("get", "set"), None))
+                         for g in _OPENBLAS_GET]
+                _OPENBLAS += [pair for pair in pairs if None not in pair][:1]
+        except OSError:  # a copy that cannot be reached cannot be held
+            _OPENBLAS = []
+    return _OPENBLAS
+
+
+@contextmanager
+def _one_blas_thread(copies: list):
+    """Hold each OpenBLAS copy at one thread, restoring its count on exit."""
+    counts = [get() for get, _ in copies]
+    try:
+        for _, set_ in copies:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(copies, counts):
+            set_(count)
+
+
+def _row_pieces(n_paths: int) -> list[slice]:
+    """Row ranges tiling [0, n_paths): _PIECE-row pieces inside each block, a
+    shorter tail joined to the piece before it, a shorter block as one piece."""
+    pieces = []
+    for start in range(0, n_paths, _BLOCK):
+        stop = min(start + _BLOCK, n_paths)
+        starts = range(start, max(start, stop - _PIECE) + 1, _PIECE)
+        pieces += [slice(a, b) for a, b in zip(starts, [*starts[1:], stop])]
+    return pieces
 
 
 def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> np.ndarray:
@@ -281,9 +334,9 @@ def simulate_joint_paths(
     maturity by self-similarity.
 
     The normals (Z_1, Z) of all paths are drawn first, in one pass, up to four
-    blocks at a time; then, block by block on the caller's thread, Z_1 is
-    scaled to dW in place and W^H is written over Z. ``dW`` and ``wh`` are
-    read-only views of the two halves of that one buffer.
+    blocks at a time; then, in row pieces on the same pool at one BLAS
+    thread, Z_1 is scaled to dW in place and W^H is written over Z. ``dW``
+    and ``wh`` are read-only views of the two halves of that one buffer.
 
     Parameters
     ----------
@@ -322,19 +375,25 @@ def simulate_joint_paths(
     buf = _block_normals(seed, first_block, _LEG_JOINT, (n_paths, 2 * n))
     dW, wh = buf[:, :n], buf[:, n:]
     sqrt_dt = math.sqrt(grid.dt)
-    # the L_c @ Z product of one block; L_c is all zeros when degenerate
-    noise = None if method == "degenerate" else np.empty((min(_BLOCK, n_paths), n))
-    for start in range(0, n_paths, _BLOCK):
-        dw_blk = dW[start : start + _BLOCK]
-        wh_blk = wh[start : start + _BLOCK]
-        np.multiply(dw_blk, sqrt_dt, out=dw_blk)
+    pieces = _row_pieces(n_paths)
+
+    def product(i: int) -> None:
+        rows = pieces[i]
+        m = rows.stop - rows.start
+        np.multiply(dW[rows], sqrt_dt, out=dW[rows])
+        piece = buf[rows] if m >= _PIECE else np.pad(buf[rows], ((0, _PIECE - m), (0, 0)))
+        dw_p, wh_p = piece[:, :n], piece[:, n:]
+        # read Z before W^H is written over it; L_c is all zeros when degenerate
+        noise = None if method == "degenerate" else wh_p @ L.T
+        np.matmul(dw_p, coef.T, out=wh_p)
         if noise is not None:
-            # read Z before W^H is written over it
-            noise_blk = noise[: len(wh_blk)]
-            np.matmul(wh_blk, L.T, out=noise_blk)
-        np.matmul(dw_blk, coef.T, out=wh_blk)
-        if noise is not None:
-            np.add(wh_blk, noise_blk, out=wh_blk)
+            np.add(wh_p, noise, out=wh_p)
+        if m < _PIECE:
+            wh[rows] = wh_p[:m]
+
+    copies = _openblas_threads() if min(_WORKERS, len(pieces)) > 1 else []
+    with _one_blas_thread(copies):
+        _fan_out(product, len(pieces), _WORKERS if copies else 1)
 
     dW.flags.writeable = False
     wh.flags.writeable = False

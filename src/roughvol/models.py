@@ -34,8 +34,8 @@ __all__ = [
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
 _SABR_SERIES_THRESHOLD = 1e-4
 
-# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool,
-# or with terminal=True the rows of the one scratch a job reuses.
+# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool. With
+# terminal=True a job reuses one scratch of this many rows, fewer above 256 steps.
 _CHUNK_ROWS = 1024
 
 
@@ -212,7 +212,8 @@ def bergomi_sigma_path(
     scale = p.nu * math.sqrt(h2)
     drift = 0.5 * p.nu**2 * grid.times**h2
     first_var = p.sigma0 * p.sigma0 * grid.dt
-    n_chunks = -(-n_paths // _CHUNK_ROWS)
+    rows_per = _CHUNK_ROWS if not terminal else max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 256 // n))
+    n_chunks = -(-n_paths // rows_per)
 
     def fill(rows: slice, s: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
         dW = batch.dW[rows]
@@ -245,9 +246,9 @@ def bergomi_sigma_path(
     jobs = min(gaussian._WORKERS, n_chunks)
 
     def fill_terminal(job: int) -> None:
-        scratch = np.empty((3, min(_CHUNK_ROWS, n_paths), n))
+        scratch = np.empty((3, min(rows_per, n_paths), n))
         for c in range(job, n_chunks, jobs):
-            rows = slice(c * _CHUNK_ROWS, min((c + 1) * _CHUNK_ROWS, n_paths))
+            rows = slice(c * rows_per, min((c + 1) * rows_per, n_paths))
             chunk = scratch[:, : rows.stop - rows.start]
             fill(rows, *chunk)
             ends[:, rows] = chunk[:, :, -1:]

@@ -7,6 +7,7 @@ other test, so each workload shape runs here once, tiny, through the real
 child process and the real metric code.
 """
 
+import csv
 import importlib
 import json
 import math
@@ -106,15 +107,16 @@ def test_output_checks_import_their_names():
     assert skew_ratio_limit(0.5) == 0.5
 
 
-@pytest.mark.parametrize("shape", sorted(SPECS))
-def test_traced_child_feeds_every_layer_metric(shape, tmp_path, bench_run):
-    spec_path = tmp_path / "spec.json"
+def run_child(shape: str, work: Path, blas_threads: int, *flags: str) -> dict:
+    """One child.py run of ``shape`` in ``work``; its outputs go to work/out."""
+    work.mkdir(exist_ok=True)
+    spec_path = work / "spec.json"
     spec_path.write_text(json.dumps(SPECS[shape]))
-    result_path = tmp_path / "result.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    result_path = work / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(blas_threads))
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), str(spec_path),
-         str(tmp_path / "out"), str(result_path), "--trace"],
+         str(work / "out"), str(result_path), *flags],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -122,7 +124,24 @@ def test_traced_child_feeds_every_layer_metric(shape, tmp_path, bench_run):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(result_path.read_text())
+    return json.loads(result_path.read_text())
+
+
+def test_estimates_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # only the delta-method SEs (np.cov over paths) may differ in the last
+    # digits; the W^H products give the same bits at any thread count
+    columns = []
+    for threads in (1, 2):
+        run_child("skew-ratio-groups", tmp_path / str(threads), threads)
+        (csv_path,) = (tmp_path / str(threads) / "out").glob("*.csv")
+        rows = list(csv.DictReader(csv_path.open(newline="")))
+        columns.append([[row[k] for row in rows] for k in ("T", "skew_iv", "skew_lv", "ratio")])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("shape", sorted(SPECS))
+def test_traced_child_feeds_every_layer_metric(shape, tmp_path, bench_run):
+    report = run_child(shape, tmp_path, 1, "--trace")
     trace = report["trace"]
     entered = {name for name, *_ in trace["spans"]}
     assert SPANS <= entered, f"layers never entered: {sorted(SPANS - entered)}"

@@ -132,6 +132,18 @@ class TestSimulateJointPaths:
         assert np.array_equal(small.wh, large.wh[:10])
         assert np.array_equal(small.dW, large.dW[:10])
 
+    # a last block of a few rows would take other BLAS kernels (gemv at one
+    # row, a small-matrix kernel at a few more) unless padded to full height
+    @pytest.mark.parametrize("n_steps", [8, 64, 256])
+    @pytest.mark.parametrize("tail", [1, 2, 3, 17])
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    def test_short_last_block_is_the_rows_of_the_full_block(self, H, tail, n_steps):
+        g = SimGrid(0.05, n_steps)
+        short = simulate_joint_paths(g, H, 4096 + tail, seed=7)
+        full = simulate_joint_paths(g, H, 2 * 4096, seed=7)
+        assert short.dW.tobytes() == full.dW[: 4096 + tail].tobytes()
+        assert short.wh.tobytes() == full.wh[: 4096 + tail].tobytes()
+
     # a group ends on a block boundary or at the last path, as in the runners
     @pytest.mark.parametrize("first_block,n_paths", [(1, 4096), (2, 4096 + 7), (3, 7)])
     @pytest.mark.parametrize("H", [0.2, 0.5])
@@ -302,8 +314,9 @@ class TestUnitGridFactors:
 
 
 def _serial_joint_paths(grid, H, n_paths, seed):
-    """Oracle: one block at a time, each from a fresh Philox draw of its own
-    shape, and W^H as the sum of the two block products (also at H = 1/2)."""
+    """Oracle: one full block at a time, each from a fresh Philox draw of its
+    own shape, W^H as the sum of the two block products (also at H = 1/2),
+    and a last, partial block cut after its products."""
     n = grid.n_steps
     coef, L, _, _ = gaussian._grid_factors(grid, H)
     dW, wh = np.empty((n_paths, n)), np.empty((n_paths, n))
@@ -313,10 +326,10 @@ def _serial_joint_paths(grid, H, n_paths, seed):
         key = np.array([seed, b << 2], dtype=np.uint64)
         z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
             (gaussian._BLOCK, 2 * n)
-        )[:take]
+        )
         dw_blk = math.sqrt(grid.dt) * z[:, :n]
-        dW[start : start + take] = dw_blk
-        wh[start : start + take] = dw_blk @ coef.T + z[:, n:] @ L.T
+        dW[start : start + take] = dw_blk[:take]
+        wh[start : start + take] = (dw_blk @ coef.T + z[:, n:] @ L.T)[:take]
     return dW, wh
 
 
@@ -372,6 +385,77 @@ class TestParallelDraws:
         monkeypatch.setattr(np.random, "Philox", Broken)
         with pytest.raises(RuntimeError, match="broken stream"):
             orthogonal_increments(SimGrid(1.0, 4), 2 * 4096, seed=1)
+
+
+class TestPooledProducts:
+    @pytest.mark.parametrize("n_paths", [1, 4097, 5121, 3 * 4096 + 1027])
+    def test_independent_of_worker_count(self, n_paths, monkeypatch):
+        g = SimGrid(0.05, 256)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            batch = simulate_joint_paths(g, 0.2, n_paths, seed=3)
+            runs.append((batch.dW.tobytes(), batch.wh.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n_paths", [1, 1023, 1024, 2047, 4096, 4097, 5121, 3 * 4096 + 1027])
+    def test_row_pieces_tile_the_blocks(self, n_paths):
+        pieces = gaussian._row_pieces(n_paths)
+        assert pieces[0].start == 0 and pieces[-1].stop == n_paths
+        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+        for piece in pieces:
+            block = piece.start // gaussian._BLOCK
+            block_rows = min(gaussian._BLOCK, n_paths - block * gaussian._BLOCK)
+            assert (piece.stop - 1) // gaussian._BLOCK == block
+            assert piece.stop - piece.start >= min(gaussian._PIECE, block_rows)
+
+    def _thread_counts(self):
+        return [get() for get, _ in gaussian._openblas_threads()]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_one_blas_thread_per_job_then_restored(self, fail, monkeypatch):
+        before = self._thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS copy is loaded")
+        monkeypatch.setattr(gaussian, "_WORKERS", 2)
+        original, seen = gaussian._fan_out, []
+
+        def recording(job, n_jobs, workers=None):
+            def wrapped(i):
+                seen.append(self._thread_counts())
+                if fail and i == 1:
+                    raise RuntimeError("broken piece")
+                job(i)
+
+            # the normal draws fan out too, at the caller's thread counts
+            original(wrapped if job.__name__ == "product" else job, n_jobs, workers)
+
+        monkeypatch.setattr(gaussian, "_fan_out", recording)
+        grid = SimGrid(0.05, 16)
+        if fail:
+            with pytest.raises(RuntimeError, match="broken piece"):
+                simulate_joint_paths(grid, 0.2, 2 * 4096, seed=3)
+        else:
+            simulate_joint_paths(grid, 0.2, 2 * 4096, seed=3)
+            assert len(seen) == len(gaussian._row_pieces(2 * 4096))
+        assert seen and all(counts == [1] * len(before) for counts in seen)
+        assert self._thread_counts() == before
+
+    def test_without_openblas_the_products_run_inline(self, monkeypatch):
+        g = SimGrid(0.05, 64)
+        pooled = simulate_joint_paths(g, 0.2, 2 * 4096 + 5, seed=3)
+        original, calls = gaussian._fan_out, []
+
+        def recording(job, n_jobs, workers=None):
+            calls.append((job.__name__, workers))
+            original(job, n_jobs, workers)
+
+        monkeypatch.setattr(gaussian, "_fan_out", recording)
+        monkeypatch.setattr(gaussian, "_openblas_threads", lambda: [])
+        inline = simulate_joint_paths(g, 0.2, 2 * 4096 + 5, seed=3)
+        assert ("product", 1) in calls
+        assert pooled.wh.tobytes() == inline.wh.tobytes()
+        assert pooled.dW.tobytes() == inline.dW.tobytes()
 
 
 class TestOrthogonalIncrements:

@@ -203,6 +203,16 @@ class TestTerminalSigmaPath:
             full.int_sdw[:, -1:].tobytes(),
         ]
 
+    # above 256 steps the scratch is sized by bytes: 256 rows at 1024 steps
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_byte_sized_scratch_keeps_the_bits(self, workers, monkeypatch):
+        batch = simulate_joint_paths(SimGrid(0.3, 1024), 0.2, 1000, seed=12)
+        full = bergomi_sigma_path(batch, BERGOMI)
+        monkeypatch.setattr(gaussian, "_WORKERS", workers)
+        end = bergomi_sigma_path(batch, BERGOMI, terminal=True)
+        assert end.int_sdw.tobytes() == full.int_sdw[:, -1:].tobytes()
+        assert end.int_var.tobytes() == full.int_var[:, -1:].tobytes()
+
     def test_grid_is_the_one_step_grid(self):
         batch = simulate_joint_paths(SimGrid(0.7, 24), 0.2, 5, seed=2)
         assert bergomi_sigma_path(batch, BERGOMI, terminal=True).grid == SimGrid(0.7, 1)

@@ -30,7 +30,6 @@ from roughvol.gaussian import (
     SimGrid,
     orthogonal_increments,
     simulate_joint_paths,
-    volterra_autocovariance,
     volterra_cross_covariance,
 )
 from roughvol.local_vol import (
@@ -47,8 +46,6 @@ from roughvol.models import (
     SigmaPath,
     bergomi_sigma_path,
     sabr_atm_curvatures,
-    sabr_implied_vol,
-    sabr_local_vol,
 )
 from roughvol.pricing import (
     ConditionalLaw,

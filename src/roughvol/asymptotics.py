@@ -77,9 +77,6 @@ class TermSeries:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "std_errors", ses)
 
-    def __len__(self) -> int:
-        return self.maturities.size
-
 
 @dataclass(frozen=True)
 class PowerLawFit:

@@ -34,7 +34,6 @@ from scipy import special
 __all__ = [
     "SimGrid",
     "PathBatch",
-    "volterra_autocovariance",
     "volterra_cross_covariance",
     "simulate_joint_paths",
     "orthogonal_increments",
@@ -135,23 +134,6 @@ class PathBatch:
     first_block: int = 0
 
 
-def volterra_autocovariance(t: float, s: float, H: float) -> float:
-    """Cov(W^H_t, W^H_s) = int_0^{min(t,s)} (t-u)^{H-1/2} (s-u)^{H-1/2} du.
-
-    Evaluated in closed form: for s <= t the integral equals
-    s^{H+1/2} t^{H-1/2} / (H+1/2) * 2F1(1/2-H, 1; H+3/2; s/t).
-    Symmetric in (t, s).
-    """
-    _check_time("t", t)
-    _check_time("s", s)
-    _check_hurst(H)
-    lo, hi = min(t, s), max(t, s)
-    a = H + 0.5
-    if lo == hi:
-        return lo ** (2.0 * H) / (2.0 * H)
-    return lo**a * hi ** (H - 0.5) / a * special.hyp2f1(0.5 - H, 1.0, a + 1.0, lo / hi)
-
-
 def volterra_cross_covariance(t: float, s: float, H: float) -> float:
     """Cov(W^H_t, W_s) = (t^{H+1/2} - (t - min(t,s))^{H+1/2}) / (H + 1/2).
 
@@ -225,8 +207,9 @@ def _grid_factors(grid: SimGrid, H: float) -> tuple[np.ndarray, np.ndarray, str,
         A = _cross_with_increments(unit.times, H)
         cov_hh = _autocov_matrix(unit.times, H)
         coef = A / unit.dt
-        cond = cov_hh - coef @ A.T
-        L, method, jitter = _factor_conditional(cond, float(np.max(np.diag(cov_hh))))
+        with _one_blas_thread(_openblas_threads()):  # bits independent of the BLAS threads
+            cond = cov_hh - coef @ A.T
+            L, method, jitter = _factor_conditional(cond, float(np.max(np.diag(cov_hh))))
         if len(_FACTOR_CACHE) > 256:
             _FACTOR_CACHE.clear()
         hit = _FACTOR_CACHE[key] = (coef, L, method, jitter)
@@ -258,7 +241,8 @@ _OPENBLAS_GET = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
 
 def _openblas_threads() -> list:
     """Thread-count (get, set) pairs of every OpenBLAS copy in /proc/self/maps
-    (numpy's and scipy's wheels each bundle one); if empty, nothing is pooled."""
+    (numpy's and scipy's wheels each bundle one). Empty where that file is
+    missing or the BLAS is not OpenBLAS: then nothing is held or pooled."""
     global _OPENBLAS
     if _OPENBLAS is None:
         _OPENBLAS = []

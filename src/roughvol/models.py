@@ -1,13 +1,14 @@
 """Volatility models: rough Bergomi path construction and lognormal SABR analytics.
 
 Rough Bergomi builds sigma paths on simulated Volterra noise together with the
-running integrals every conditional (mixing) estimator needs. The three path
-arrays are filled in place, chunk of rows by chunk of rows on the path
-layer's thread pool, with no full-size temporary. Callers that read only
-sigma_T, V and M ask for those alone: each pool job then reuses one
-chunk-sized scratch, so no n_paths x n_steps array is written. SABR (beta = 1)
-is fully analytic here: local-vol equivalent, implied vol, and their ATM
-log-strike curvatures.
+running integrals every conditional (mixing) estimator needs. One loop fills
+them, chunk of rows by chunk of rows on the path layer's thread pool, with no
+full-size temporary: into the three full path arrays, or, for callers that
+read only sigma_T, V and M, into one reused chunk-sized scratch per pool job
+whose last columns are kept, so no n_paths x n_steps array is written.
+SABR (beta = 1) enters through the closed-form ATM log-strike curvatures of
+its local-vol equivalent and of Hagan's implied-vol smile; the two smiles
+themselves serve only as the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ __all__ = [
     "bergomi_sigma_path",
     "grid_step_index",
     "sabr_atm_curvatures",
-    "sabr_local_vol",
-    "sabr_implied_vol",
 ]
 
-# |z| below this uses the Taylor series of z/x(z); above, the exact formula.
-_SABR_SERIES_THRESHOLD = 1e-4
-
-# Paths per chunk of bergomi_sigma_path: each chunk is one job of the pool. With
-# terminal=True a job reuses one scratch of this many rows, fewer above 256 steps.
+# Rows per chunk of bergomi_sigma_path up to 256 steps, fewer above, so a chunk
+# holds at most 256K values per array; pool job j fills chunks j, j + jobs, ...
 _CHUNK_ROWS = 1024
 
 
@@ -87,8 +83,10 @@ class RoughBergomiParams:
 class SabrParams:
     """Lognormal SABR (beta = 1): dF = sigma F dZ, sigma_t = alpha*exp(nu B_t - nu^2 t/2).
 
-    rho is restricted to the open interval: the Hagan x(z) formula divides by
-    1 - rho.
+    rho is restricted to the open interval: Hagan's implied-vol expansion,
+    whose ATM curvature ``sabr_atm_curvatures`` gives, is built on
+    x(z) = log[(sqrt(1 - 2 rho z + z^2) + z - rho) / (1 - rho)], which divides
+    by zero at rho = 1 and is log 0 for z <= -1 at rho = -1.
     """
 
     alpha: float
@@ -192,10 +190,12 @@ def bergomi_sigma_path(
     sigma is evaluated pointwise from wh; the integrals use the left-point
     (Ito) convention, which keeps int sigma dW a martingale increment sum.
 
-    With ``terminal`` only sigma_T, V and M are kept, as a SigmaPath on
-    SimGrid(T, 1): each pool job fills one chunk-sized scratch, chunk after
-    chunk, and copies out its last columns. The values are bitwise the last
-    columns of the full arrays.
+    Both outputs come from one loop over row chunks on the pool. Without
+    ``terminal`` each job writes its chunks straight into the full arrays;
+    with ``terminal`` only sigma_T, V and M are kept, as a SigmaPath on
+    SimGrid(T, 1): each job fills one chunk-sized scratch, chunk after chunk,
+    and copies out its last columns. The values are bitwise the last columns
+    of the full arrays.
 
     Raises
     ------
@@ -212,8 +212,10 @@ def bergomi_sigma_path(
     scale = p.nu * math.sqrt(h2)
     drift = 0.5 * p.nu**2 * grid.times**h2
     first_var = p.sigma0 * p.sigma0 * grid.dt
-    rows_per = _CHUNK_ROWS if not terminal else max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 256 // n))
+    rows_per = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 256 // n))
     n_chunks = -(-n_paths // rows_per)
+    jobs = min(gaussian._WORKERS, n_chunks)
+    out = np.empty((3, n_paths, 1 if terminal else n))
 
     def fill(rows: slice, s: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
         dW = batch.dW[rows]
@@ -230,87 +232,31 @@ def bergomi_sigma_path(
         np.multiply(s[:, :-1], dW[:, 1:], out=m[:, 1:])
         np.cumsum(m, axis=1, out=m)
 
-    if not terminal:
-        sigma = np.empty((n_paths, n))
-        int_var = np.empty((n_paths, n))
-        int_sdw = np.empty((n_paths, n))
-
-        def fill_chunk(c: int) -> None:
-            rows = slice(c * _CHUNK_ROWS, (c + 1) * _CHUNK_ROWS)
-            fill(rows, sigma[rows], int_var[rows], int_sdw[rows])
-
-        gaussian._fan_out(fill_chunk, n_chunks)
-        return SigmaPath(grid=grid, sigma=sigma, int_var=int_var, int_sdw=int_sdw)
-
-    ends = np.empty((3, n_paths, 1))
-    jobs = min(gaussian._WORKERS, n_chunks)
-
-    def fill_terminal(job: int) -> None:
-        scratch = np.empty((3, min(rows_per, n_paths), n))
+    def fill_job(job: int) -> None:
+        scratch = np.empty((3, min(rows_per, n_paths), n)) if terminal else None
         for c in range(job, n_chunks, jobs):
             rows = slice(c * rows_per, min((c + 1) * rows_per, n_paths))
-            chunk = scratch[:, : rows.stop - rows.start]
-            fill(rows, *chunk)
-            ends[:, rows] = chunk[:, :, -1:]
+            if scratch is None:
+                fill(rows, *out[:, rows])
+            else:
+                chunk = scratch[:, : rows.stop - rows.start]
+                fill(rows, *chunk)
+                out[:, rows] = chunk[:, :, -1:]
 
-    gaussian._fan_out(fill_terminal, jobs)
-    return SigmaPath(SimGrid(grid.maturity, 1), *ends)
-
-
-def _sabr_y(K: float, p: SabrParams) -> float:
-    return math.log(K / p.s0) / p.alpha
-
-
-def sabr_local_vol(K: float, p: SabrParams) -> float:
-    """Local-volatility equivalent alpha*sqrt(1 + 2 rho nu y + nu^2 y^2), y = log(K/S0)/alpha.
-
-    Maturity-independent short-end approximation.
-    """
-    if not (K > 0):
-        raise ValueError(f"K must be > 0, got {K}")
-    y = _sabr_y(K, p)
-    return p.alpha * math.sqrt(1.0 + 2.0 * p.rho * p.nu * y + p.nu**2 * y**2)
+    gaussian._fan_out(fill_job, jobs)
+    return SigmaPath(SimGrid(grid.maturity, 1) if terminal else grid, *out)
 
 
 def _sabr_m(T: float, p: SabrParams) -> float:
     return 1.0 + (0.25 * p.rho * p.nu * p.alpha + (2.0 - 3.0 * p.rho**2) / 24.0 * p.nu**2) * T
 
 
-def _sabr_f(z: float, rho: float) -> float:
-    """f(z) = z/x(z) with x(z) = log[(sqrt(1-2 rho z + z^2) + z - rho)/(1-rho)].
-
-    Near z = 0 the exact expression is 0/0; below the documented threshold the
-    series 1 - (rho/2) z + ((2-3 rho^2)/12) z^2 + (rho(5-6 rho^2)/24) z^3 is
-    used instead.
-    """
-    if abs(z) < _SABR_SERIES_THRESHOLD:
-        return (
-            1.0
-            - 0.5 * rho * z
-            + (2.0 - 3.0 * rho**2) / 12.0 * z**2
-            + rho * (5.0 - 6.0 * rho**2) / 24.0 * z**3
-        )
-    root = math.sqrt(1.0 - 2.0 * rho * z + z**2)
-    # sqrt(A) - 1 = (A-1)/(sqrt(A)+1) avoids cancellation for small z
-    x = math.log1p(((z**2 - 2.0 * rho * z) / (root + 1.0) + z) / (1.0 - rho))
-    return z / x
-
-
-def sabr_implied_vol(K: float, T: float, p: SabrParams) -> float:
-    """Hagan lognormal-SABR implied volatility alpha * f(z) * m(T).
-
-    z = (nu/alpha) log(S0/K); m(T) = 1 + (rho nu alpha/4 + (2-3 rho^2) nu^2/24) T.
-    """
-    if not (K > 0 and T > 0):
-        raise ValueError(f"K and T must be > 0, got K={K}, T={T}")
-    z = p.nu / p.alpha * math.log(p.s0 / K)
-    return p.alpha * _sabr_f(z, p.rho) * _sabr_m(T, p)
-
-
 def sabr_atm_curvatures(p: SabrParams, t: float) -> tuple[float, float]:
     """ATM log-strike curvatures (local, implied) of the two SABR smiles.
 
-    d2/dk2 at k = log(K/S0) = 0 of sabr_local_vol and of sabr_implied_vol:
+    d2/dk2 at k = log(K/S0) = 0 of the local-vol equivalent
+    alpha sqrt(1 + 2 rho nu y + nu^2 y^2), y = k/alpha, and of Hagan's implied
+    vol alpha m(t) z/x(z), z = -(nu/alpha) k (both smiles are in tests/oracles.py):
         local   = nu^2 (1 - rho^2) / alpha
         implied = m(t) nu^2 (2 - 3 rho^2) / (6 alpha)
     t = 0 gives the short-end limits, where m = 1.

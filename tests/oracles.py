@@ -4,8 +4,10 @@ Each one computes a quantity the library also computes, by a different
 route: the Volterra autocovariance by adaptive quadrature instead of the
 hypergeometric closed form, the rough Bergomi curvature limit by quadrature
 of its kernel integrals instead of their Beta-function reductions, the
-digital as a plain mean of the conditional column, and the call from the
-log-Euler terminal spot instead of the mixing representation.
+digital as a plain mean of the conditional column, the call from the
+log-Euler terminal spot instead of the mixing representation, and the
+lognormal SABR smiles (local-vol equivalent and Hagan implied vol) whose
+ATM curvatures ``models.sabr_atm_curvatures`` gives in closed form.
 """
 
 import math
@@ -13,8 +15,57 @@ import math
 import numpy as np
 
 from roughvol._stats import mean_and_se
-from roughvol.models import RoughBergomiParams
+from roughvol.models import RoughBergomiParams, SabrParams, _sabr_m
 from roughvol.pricing import ConditionalLaw, log_euler_terminal
+
+# |z| below this uses the Taylor series of z/x(z); above, the exact formula.
+_SABR_SERIES_THRESHOLD = 1e-4
+
+
+def _sabr_y(K: float, p: SabrParams) -> float:
+    return math.log(K / p.s0) / p.alpha
+
+
+def sabr_local_vol(K: float, p: SabrParams) -> float:
+    """Local-volatility equivalent alpha*sqrt(1 + 2 rho nu y + nu^2 y^2), y = log(K/S0)/alpha.
+
+    Maturity-independent short-end approximation.
+    """
+    if not (K > 0):
+        raise ValueError(f"K must be > 0, got {K}")
+    y = _sabr_y(K, p)
+    return p.alpha * math.sqrt(1.0 + 2.0 * p.rho * p.nu * y + p.nu**2 * y**2)
+
+
+def _sabr_f(z: float, rho: float) -> float:
+    """f(z) = z/x(z) with x(z) = log[(sqrt(1-2 rho z + z^2) + z - rho)/(1-rho)].
+
+    Near z = 0 the exact expression is 0/0; below the documented threshold the
+    series 1 - (rho/2) z + ((2-3 rho^2)/12) z^2 + (rho(5-6 rho^2)/24) z^3 is
+    used instead.
+    """
+    if abs(z) < _SABR_SERIES_THRESHOLD:
+        return (
+            1.0
+            - 0.5 * rho * z
+            + (2.0 - 3.0 * rho**2) / 12.0 * z**2
+            + rho * (5.0 - 6.0 * rho**2) / 24.0 * z**3
+        )
+    root = math.sqrt(1.0 - 2.0 * rho * z + z**2)
+    # sqrt(A) - 1 = (A-1)/(sqrt(A)+1) avoids cancellation for small z
+    x = math.log1p(((z**2 - 2.0 * rho * z) / (root + 1.0) + z) / (1.0 - rho))
+    return z / x
+
+
+def sabr_implied_vol(K: float, T: float, p: SabrParams) -> float:
+    """Hagan lognormal-SABR implied volatility alpha * f(z) * m(T).
+
+    z = (nu/alpha) log(S0/K); m(T) = 1 + (rho nu alpha/4 + (2-3 rho^2) nu^2/24) T.
+    """
+    if not (K > 0 and T > 0):
+        raise ValueError(f"K and T must be > 0, got K={K}, T={T}")
+    z = p.nu / p.alpha * math.log(p.s0 / K)
+    return p.alpha * _sabr_f(z, p.rho) * _sabr_m(T, p)
 
 
 def volterra_autocovariance_quad(t: float, s: float, H: float) -> float:

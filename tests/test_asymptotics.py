@@ -190,7 +190,7 @@ class TestBergomiCurvatureLimit:
         minus = bergomi_curvature_limit(bergomi(0.2, rho=-0.6))
         assert abs(plus - minus) < 1e-15
 
-    def test_needs_no_numerical_integration(self):
+    def test_needs_no_numerical_integration(self, src_env):
         # The limit is arithmetic: computing it must not import scipy.integrate.
         code = (
             "import sys, roughvol\n"
@@ -200,7 +200,8 @@ class TestBergomiCurvatureLimit:
             "print('scipy.integrate' in sys.modules)\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, timeout=120, env=src_env,
         )
         assert out.stdout.strip() == "False"
 
@@ -230,7 +231,7 @@ class TestTermSeries:
             std_errors=[0.0, 0.0, 0.0],
             label="ratio",
         )
-        assert len(s) == 3
+        assert s.maturities.size == s.values.size == s.std_errors.size == 3
         assert s.label == "ratio"
         assert s.maturities.dtype == np.float64
 

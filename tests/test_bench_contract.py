@@ -7,7 +7,6 @@ other test, so each workload shape runs here once, tiny, through the real
 child process and the real metric code.
 """
 
-import csv
 import importlib
 import json
 import math
@@ -57,6 +56,19 @@ SPECS = {
             "seed": 20_260_815,
             "n_paths": 4096,
             "n_steps": 64,
+            "maturities": {"min": 0.004, "max": 0.25, "count": 5},
+        },
+    },
+    # from 128 steps up an unheld factorization's BLAS sums depend on the thread count
+    "power-law-256": {
+        "kind": "experiment",
+        "experiment": "power-law",
+        "config": {
+            "experiment": "power-law",
+            "model": MODEL,
+            "seed": 20_260_815,
+            "n_paths": 4096,
+            "n_steps": 256,
             "maturities": {"min": 0.004, "max": 0.25, "count": 5},
         },
     },
@@ -127,16 +139,34 @@ def run_child(shape: str, work: Path, blas_threads: int, *flags: str) -> dict:
     return json.loads(result_path.read_text())
 
 
-def test_estimates_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # only the delta-method SEs (np.cov over paths) may differ in the last
-    # digits; the W^H products give the same bits at any thread count
-    columns = []
+@pytest.mark.parametrize("shape", ["skew-ratio-groups", "power-law-256"])
+def test_estimates_do_not_depend_on_the_blas_thread_count(shape, tmp_path):
+    # the factorization and the runners hold OpenBLAS at one thread, so every
+    # column, the standard errors included, has the same bits at any count
+    tables = []
     for threads in (1, 2):
-        run_child("skew-ratio-groups", tmp_path / str(threads), threads)
+        run_child(shape, tmp_path / str(threads), threads)
         (csv_path,) = (tmp_path / str(threads) / "out").glob("*.csv")
-        rows = list(csv.DictReader(csv_path.open(newline="")))
-        columns.append([[row[k] for row in rows] for k in ("T", "skew_iv", "skew_lv", "ratio")])
-    assert columns[0] == columns[1]
+        tables.append(csv_path.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_grid_factors_do_not_depend_on_the_blas_thread_count():
+    code = (
+        "import hashlib\n"
+        "from roughvol import gaussian\n"
+        "coef, L, method, jitter = gaussian._grid_factors(gaussian.SimGrid(0.05, 256), 0.2)\n"
+        "print(hashlib.sha1(coef.tobytes() + L.tobytes()).hexdigest(), method, jitter)\n"
+    )
+    digests = []
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("shape", sorted(SPECS))

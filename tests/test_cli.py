@@ -441,12 +441,13 @@ class TestSelftestCommand:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self):
+    def test_module_invocation(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "roughvol.cli", "--version"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=src_env,
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

@@ -342,6 +342,20 @@ class TestEstimatorFailures:
             assert np.all(np.isfinite(result.table[name][[0, 2]]))
         assert result.flags == ("T=0.1: estimator failed: price 0.0 is not below the spot",)
 
+    def test_failed_fd_check_keeps_the_row(self):
+        # at T = 1e-5 the check's strike s0 e^-0.005 is many smile widths in
+        # the money and its call mean falls below intrinsic; the digital
+        # skew, the local skew and the ratio are still read off the paths
+        config = ExperimentConfig.from_mapping(
+            "skew-ratio", {"maturities": [1e-5, 3e-5, 1e-4], "n_paths": 20000}
+        )
+        result = run_skew_ratio(config)
+        for name in result.columns:
+            assert np.all(np.isfinite(result.table[name])), name
+        (flag,) = result.flags
+        assert flag.startswith("T=1e-05: finite-difference skew check failed: price ")
+        assert "does not exceed the intrinsic value" in flag
+
     def test_flags_print_plain_floats(self):
         # at T = 1e-300 every call mean is the intrinsic value 0.0
         result = run_skew_ratio(tiny_config(maturities=[1e-300]))

@@ -14,7 +14,6 @@ from roughvol.gaussian import (
     SimGrid,
     orthogonal_increments,
     simulate_joint_paths,
-    volterra_autocovariance,
     volterra_cross_covariance,
 )
 
@@ -42,24 +41,26 @@ class TestSimGrid:
 
 
 class TestVolterraAutocovariance:
+    """The closed form the engine factors, ``_autocov_matrix`` on increasing times."""
+
     def test_brownian_case_is_min(self):
         # kernel is identically 1 at H = 1/2
-        assert volterra_autocovariance(1.0, 1.0, 0.5) == pytest.approx(1.0, abs=1e-14)
-        assert volterra_autocovariance(2.0, 1.0, 0.5) == pytest.approx(1.0, abs=1e-14)
+        cov = gaussian._autocov_matrix(np.array([1.0, 2.0]), 0.5)
+        np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 2.0]], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("H", [0.2, 0.5, 0.8])
     def test_equal_times_closed_form(self, tau, H):
-        assert volterra_autocovariance(tau, tau, H) == pytest.approx(
-            tau ** (2 * H) / (2 * H), rel=1e-12
-        )
+        cov = gaussian._autocov_matrix(np.array([0.5 * tau, tau]), H)
+        assert cov[1, 1] == pytest.approx(tau ** (2 * H) / (2 * H), rel=1e-12)
+        assert cov[1, 1] == pytest.approx(volterra_autocovariance_quad(tau, tau, H), rel=1e-10)
 
     @pytest.mark.parametrize(
         "t,s,H",
         [(1.0, 0.3, 0.2), (0.25, 0.2, 0.35), (3.0, 2.9, 0.45), (1.0, 0.999, 0.1), (2.0, 0.1, 0.9)],
     )
     def test_matches_adaptive_quadrature(self, t, s, H):
-        cf = volterra_autocovariance(t, s, H)
+        cf = gaussian._autocov_matrix(np.array([s, t]), H)[0, 1]
         q = volterra_autocovariance_quad(t, s, H)
         assert cf == pytest.approx(q, rel=1e-10)
 
@@ -70,18 +71,9 @@ class TestVolterraAutocovariance:
     )
     @settings(max_examples=50, deadline=None)
     def test_symmetric_and_positive(self, t, s, H):
-        a = volterra_autocovariance(t, s, H)
-        b = volterra_autocovariance(s, t, H)
-        assert a == pytest.approx(b, rel=1e-12)
-        assert a > 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            volterra_autocovariance(math.inf, 1.0, 0.3)
-        with pytest.raises(ValueError):
-            volterra_autocovariance(1.0, math.nan, 0.3)
-        with pytest.raises(ValueError):
-            volterra_autocovariance(1.0, 1.0, 1.5)
+        cov = gaussian._autocov_matrix(np.unique([t, s]), H)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.all(cov > 0.0)
 
 
 class TestVolterraCrossCovariance:
@@ -202,7 +194,7 @@ class TestSimulateJointPaths:
         for i, j in [(15, 3), (8, 12)]:
             x, y = b.wh[:, i], b.wh[:, j]
             emp = np.mean(x * y) - x.mean() * y.mean()
-            ref = volterra_autocovariance(g.times[i], g.times[j], H)
+            ref = gaussian._autocov_matrix(g.times, H)[i, j]
             se = math.sqrt((x.var() * y.var() + emp**2) / n)
             assert abs(emp - ref) < 3 * se
 

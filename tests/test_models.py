@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _SABR_SERIES_THRESHOLD, _sabr_f, sabr_implied_vol, sabr_local_vol
 from roughvol import gaussian, models
 from roughvol.gaussian import PathBatch, SimGrid, simulate_joint_paths
 from roughvol.asymptotics import implied_curv_from_local, sabr_curvature_gap, skew_ratio_limit
@@ -14,8 +15,6 @@ from roughvol.models import (
     _sabr_m,
     bergomi_sigma_path,
     sabr_atm_curvatures,
-    sabr_implied_vol,
-    sabr_local_vol,
 )
 
 BERGOMI = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.2)
@@ -184,6 +183,34 @@ class TestChunkedSigmaPath:
             runs.append([a.tobytes() for a in arrays])
         assert runs[0] == runs[1]
 
+    # both outputs share one chunk rule: 1024-row chunks up to 256 steps,
+    # 256-row chunks at 1024 steps
+    @pytest.mark.parametrize("n_steps, chunk", [(8, 1024), (1024, 256)])
+    def test_full_arrays_independent_of_chunking(self, n_steps, chunk, monkeypatch):
+        n_paths = 2 * models._CHUNK_ROWS + 37
+        batch = simulate_joint_paths(SimGrid(0.3, n_steps), 0.2, n_paths, seed=5)
+        jobs = []
+        real_fan_out = gaussian._fan_out
+
+        def recording_fan_out(job, n_jobs, workers=None):
+            jobs.append(n_jobs)
+            real_fan_out(job, n_jobs, workers)
+
+        monkeypatch.setattr(gaussian, "_fan_out", recording_fan_out)
+        runs = []
+        for workers in (1, 3, 16):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            sig = bergomi_sigma_path(batch, BERGOMI)
+            runs.append([a.tobytes() for a in (sig.sigma, sig.int_var, sig.int_sdw)])
+        # one job per chunk once there are workers enough
+        assert jobs == [1, 3, -(-n_paths // chunk)]
+        # a serial fill of one chunk that holds every row
+        monkeypatch.setattr(gaussian, "_WORKERS", 1)
+        monkeypatch.setattr(models, "_CHUNK_ROWS", 4 * n_paths)
+        sig = bergomi_sigma_path(batch, BERGOMI)
+        runs.append([a.tobytes() for a in (sig.sigma, sig.int_var, sig.int_sdw)])
+        assert runs[1:] == runs[:-1]
+
 
 class TestTerminalSigmaPath:
     @pytest.mark.parametrize("workers", [1, 3])
@@ -295,8 +322,6 @@ class TestSabrImpliedVol:
 
     def test_continuous_across_series_threshold(self):
         # both branches evaluated at the threshold z itself must agree
-        from roughvol.models import _SABR_SERIES_THRESHOLD, _sabr_f
-
         scale = SABR.alpha * _sabr_m(0.3, SABR)
         for sign in (+1, -1):
             z = sign * _SABR_SERIES_THRESHOLD

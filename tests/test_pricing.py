@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from oracles import log_euler_call_price, mc_digital
+from oracles import log_euler_call_price, mc_digital, sabr_implied_vol
 from roughvol._stats import delta_method, mean_and_se, weighted_level_fit
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import RoughBergomiParams, SabrParams, _sabr_m, bergomi_sigma_path
-from roughvol.models import sabr_implied_vol
 from roughvol.pricing import (
     ConditionalLaw,
     ImpliedVolBoundsError,

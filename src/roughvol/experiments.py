@@ -328,7 +328,7 @@ class ExperimentResult:
     flags: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
     wall_time: float = 0.0
-    factorization: Dict[str, float] = field(default_factory=dict)
+    factorization: Dict[Tuple[str, str], float] = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
@@ -354,9 +354,11 @@ class ExperimentResult:
             "notes": list(self.notes),
         }
         if self.factorization:
+            methods, products = zip(*self.factorization)
             meta["factorization"] = {
-                "method": ",".join(self.factorization),
+                "method": ",".join(dict.fromkeys(methods)),
                 "jitter": max(self.factorization.values()),
+                "product": ",".join(dict.fromkeys(products)),
             }
         if self.fits:
             meta["fits"] = {
@@ -378,15 +380,16 @@ def _simulate(
     config: ExperimentConfig,
     index: int,
     t: float,
-    factorization: Dict[str, float],
+    factorization: Dict[Tuple[str, str], float],
 ) -> SigmaPath:
     """sigma_T, V and M of the paths at ladder entry ``index``, on SimGrid(t, 1).
 
     The paths are drawn on ``config.n_steps`` steps in groups of
     ``_GROUP_BLOCKS`` blocks, one group in memory at a time. The result is
     bitwise the last columns of one full-size batch, which is all that
-    ``ConditionalLaw`` reads at t. Records the factorization method of the
-    draw in ``factorization`` (method -> largest jitter over the ladder so far).
+    ``ConditionalLaw`` reads at t. Records the factorization method and the
+    product kernel of the draw in ``factorization`` ((method, product) ->
+    largest jitter over the ladder so far).
     """
     grid = SimGrid(t, config.n_steps)
     seed = config.maturity_seed(index)
@@ -395,16 +398,16 @@ def _simulate(
     for start in range(0, config.n_paths, group):
         n_rows = min(group, config.n_paths - start)
         batch = simulate_joint_paths(grid, p.hurst, n_rows, seed, start // gaussian._BLOCK)
-        method = batch.factorization
-        factorization[method] = max(factorization.get(method, 0.0), batch.jitter)
+        key = batch.factorization, batch.product
+        factorization[key] = max(factorization.get(key, 0.0), batch.jitter)
         sig = bergomi_sigma_path(batch, p, terminal=True)
         ends[:, start : start + n_rows, 0] = sig.terminal_sigma(), sig.total_var(), sig.total_sdw()
         del batch, sig  # free the group before the next one is drawn
     return SigmaPath(SimGrid(t, 1), *ends)
 
 
-def _factorization_flags(factorization: Mapping[str, float]) -> List[str]:
-    if "eigh-clip" not in factorization:
+def _factorization_flags(factorization: Mapping[Tuple[str, str], float]) -> List[str]:
+    if all(method != "eigh-clip" for method, _ in factorization):
         return []
     return [
         "the conditional W^H covariance is not positive definite; its "
@@ -542,7 +545,7 @@ def run_skew_ratio(config: ExperimentConfig) -> ExperimentResult:
     start = time.perf_counter()
     p = config.bergomi_params()
     strikes = p.s0 * np.exp(np.array([-_SKEW_BUMP, 0.0, _SKEW_BUMP]))
-    factorization: Dict[str, float] = {}
+    factorization: Dict[Tuple[str, str], float] = {}
 
     def row(i: int, t: float):
         sig = _simulate(p, config, i, t, factorization)
@@ -652,7 +655,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     """
     start = time.perf_counter()
     p = config.bergomi_params()
-    factorization: Dict[str, float] = {}
+    factorization: Dict[Tuple[str, str], float] = {}
 
     def row(i: int, t: float):
         sig = _simulate(p, config, i, t, factorization)

@@ -13,6 +13,9 @@ up to four blocks at a time in parallel by a short-lived thread pool; the
 W^H products then run in place on that buffer, in row pieces of at least
 1024 rows on the same pool at one BLAS thread; a shorter block is padded to
 1024 rows, as OpenBLAS multiplies fewer rows with other kernels and bits.
+Both factors are lower triangular, so they are applied by OpenBLAS's in-place
+dtrmm (bound through ctypes, checked once against GEMM); the dense eigh-clip
+factor, or a BLAS without a usable dtrmm, takes GEMM.
 Every value depends only on (seed, block), never on the number of worker
 threads or on n_paths. A batch may start at any block (``first_block``), so
 a caller can produce a large path set group by group: the rows of a group
@@ -121,6 +124,9 @@ class PathBatch:
     factorization : how the conditional covariance was factored
         ("cholesky", "cholesky+jitter", "eigh-clip" or "degenerate").
     jitter : diagonal jitter applied, 0.0 if none.
+    product : BLAS kernel that applied the factors to the normals: "trmm"
+        (triangular, in place) or "gemm" (dense; the eigh-clip factor, or no
+        usable dtrmm in the loaded BLAS).
     """
 
     grid: SimGrid
@@ -131,6 +137,7 @@ class PathBatch:
     wh: np.ndarray
     factorization: str
     jitter: float
+    product: str
     first_block: int = 0
 
 
@@ -234,18 +241,20 @@ def _fan_out(job, n_jobs: int, workers: int | None = None) -> None:
             pass
 
 
-_OPENBLAS: list | None = None  # found at the first pooled product
+_OPENBLAS: tuple | None = None  # (thread pairs, TRMM), found at the first product
 _OPENBLAS_GET = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
                  "scipy_openblas_get_num_threads64_")
+_TRMM = "scipy_cblas_dtrmm64_"  # numpy's OpenBLAS: int64 sizes, int enums
 
 
-def _openblas_threads() -> list:
+def _openblas() -> tuple:
     """Thread-count (get, set) pairs of every OpenBLAS copy in /proc/self/maps
-    (numpy's and scipy's wheels each bundle one). Empty where that file is
-    missing or the BLAS is not OpenBLAS: then nothing is held or pooled."""
+    (numpy's and scipy's wheels each bundle one), and numpy's cblas_dtrmm as
+    bound by _bind_trmm. Empty and None where that file is missing or the
+    BLAS is not OpenBLAS: then nothing is held or pooled, and GEMM runs."""
     global _OPENBLAS
     if _OPENBLAS is None:
-        _OPENBLAS = []
+        copies, trmm = [], None
         try:
             with open("/proc/self/maps") as maps:
                 paths = {line.split(None, 5)[-1].rstrip() for line in maps if "openblas" in line}
@@ -253,10 +262,43 @@ def _openblas_threads() -> list:
                 lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
                 pairs = [(getattr(lib, g, None), getattr(lib, g.replace("get", "set"), None))
                          for g in _OPENBLAS_GET]
-                _OPENBLAS += [pair for pair in pairs if None not in pair][:1]
+                copies += [pair for pair in pairs if None not in pair][:1]
+                trmm = trmm or _bind_trmm(getattr(lib, _TRMM, None))
         except OSError:  # a copy that cannot be reached cannot be held
-            _OPENBLAS = []
+            copies, trmm = [], None
+        _OPENBLAS = copies, trmm
     return _OPENBLAS
+
+
+def _openblas_threads() -> list:
+    return _openblas()[0]
+
+
+def _bind_trmm(fn):
+    """trmm(tri, b): b <- b @ tri.T in place for lower-triangular tri, by the
+    cblas_dtrmm symbol fn (RowMajor, Right, Lower, Trans, NonUnit). None if fn
+    is None or, on a fixed case, raises or disagrees with GEMM beyond 1e-13."""
+    if fn is None:
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int] * 5 + [i64, i64, ctypes.c_double, ptr, i64, ptr, i64]
+    fn.restype = None
+
+    def trmm(tri: np.ndarray, b: np.ndarray) -> None:
+        m, n = b.shape
+        if tri.shape != (n, n) or not tri.flags.c_contiguous or b.strides[1] != 8 or not (
+                tri.dtype == b.dtype == np.float64):
+            raise ValueError("trmm needs a C-ordered n x n factor and float64 rows")
+        fn(101, 142, 122, 112, 131, m, n, 1.0, tri.ctypes.data, n, b.ctypes.data, b.strides[0] // 8)
+
+    rng = np.random.default_rng(3)
+    tri, buf = np.tril(rng.standard_normal((5, 5))), rng.standard_normal((3, 10))
+    want = np.hstack([buf[:, :5], buf[:, 5:] @ tri.T])
+    try:
+        trmm(tri, buf[:, 5:])
+    except (ctypes.ArgumentError, TypeError):
+        return None
+    return trmm if np.max(np.abs(buf - want)) <= 1e-13 * np.max(np.abs(want)) else None
 
 
 @contextmanager
@@ -321,6 +363,11 @@ def simulate_joint_paths(
     blocks at a time; then, in row pieces on the same pool at one BLAS
     thread, Z_1 is scaled to dW in place and W^H is written over Z. ``dW``
     and ``wh`` are read-only views of the two halves of that one buffer.
+    A/dt and a Cholesky L_c are lower triangular, so TRMM overwrites Z with
+    Z L_c' in place and adds dW (A/dt)' from a scratch copy of dW (when
+    degenerate, dW (A/dt)' goes straight over Z). The dense eigh-clip factor,
+    or a BLAS without a usable dtrmm, takes GEMM; ``product`` records which
+    kernel ran. The two sum in different orders: W^H's last bits may differ.
 
     Parameters
     ----------
@@ -360,6 +407,8 @@ def simulate_joint_paths(
     dW, wh = buf[:, :n], buf[:, n:]
     sqrt_dt = math.sqrt(grid.dt)
     pieces = _row_pieces(n_paths)
+    # coef is lower triangular, and so is L_c unless eigh-clip made it dense
+    trmm = None if method == "eigh-clip" else _openblas()[1]
 
     def product(i: int) -> None:
         rows = pieces[i]
@@ -367,11 +416,20 @@ def simulate_joint_paths(
         np.multiply(dW[rows], sqrt_dt, out=dW[rows])
         piece = buf[rows] if m >= _PIECE else np.pad(buf[rows], ((0, _PIECE - m), (0, 0)))
         dw_p, wh_p = piece[:, :n], piece[:, n:]
-        # read Z before W^H is written over it; L_c is all zeros when degenerate
-        noise = None if method == "degenerate" else wh_p @ L.T
-        np.matmul(dw_p, coef.T, out=wh_p)
-        if noise is not None:
-            np.add(wh_p, noise, out=wh_p)
+        if trmm is None:
+            # read Z before W^H is written over it; L_c is all zeros when degenerate
+            noise = None if method == "degenerate" else wh_p @ L.T
+            np.matmul(dw_p, coef.T, out=wh_p)
+            if noise is not None:
+                np.add(wh_p, noise, out=wh_p)
+        elif method == "degenerate":
+            np.copyto(wh_p, dw_p)
+            trmm(coef, wh_p)
+        else:
+            trmm(L, wh_p)  # Z L_c' over Z
+            drift = dw_p.copy()
+            trmm(coef, drift)
+            np.add(wh_p, drift, out=wh_p)
         if m < _PIECE:
             wh[rows] = wh_p[:m]
 
@@ -390,6 +448,7 @@ def simulate_joint_paths(
         wh=wh,
         factorization=method,
         jitter=jitter,
+        product="gemm" if trmm is None else "trmm",
         first_block=first_block,
     )
 

@@ -12,7 +12,7 @@ import roughvol.experiments as experiments
 import roughvol.gaussian as gaussian
 import roughvol.pricing as pricing
 from roughvol._stats import delta_method
-from roughvol.asymptotics import TermSeries, local_curv_from_implied, sabr_curvature_gap
+from roughvol.asymptotics import local_curv_from_implied, sabr_curvature_gap
 from roughvol.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -28,6 +28,8 @@ from roughvol.models import bergomi_sigma_path
 from roughvol.pricing import ConditionalLaw, ImpliedVolBoundsError, implied_skew_digital
 
 TINY = {"n_paths": 1500, "n_steps": 8}
+# kernel of the triangular products: TRMM where the loaded OpenBLAS binds it
+TRIANGULAR = "trmm" if gaussian._openblas()[1] else "gemm"
 
 
 def tiny_config(experiment="skew-ratio", **kwargs):
@@ -443,12 +445,14 @@ class TestFactorization:
         assert result.flags == ()
         write_outputs(result)
         meta = json.loads((tmp_path / "skew-ratio.meta.json").read_text())
-        assert meta["factorization"] == {"method": "cholesky", "jitter": 0.0}
+        assert meta["factorization"] == {"method": "cholesky", "jitter": 0.0, "product": TRIANGULAR}
         assert factor_calls == ["cholesky"]
 
     def test_degenerate_method_at_half(self, factor_calls):
         result = run_skew_ratio(tiny_config(model={"hurst": 0.5}))
-        assert result.meta_dict()["factorization"] == {"method": "degenerate", "jitter": 0.0}
+        assert result.meta_dict()["factorization"] == {
+            "method": "degenerate", "jitter": 0.0, "product": TRIANGULAR
+        }
 
     def test_eigh_clip_is_flagged(self, factor_calls, monkeypatch):
         real = gaussian._factor_conditional
@@ -459,7 +463,9 @@ class TestFactorization:
 
         monkeypatch.setattr(gaussian, "_factor_conditional", clipped)
         result = run_power_law(tiny_config("power-law"))
-        assert result.meta_dict()["factorization"] == {"method": "eigh-clip", "jitter": 0.0}
+        assert result.meta_dict()["factorization"] == {
+            "method": "eigh-clip", "jitter": 0.0, "product": "gemm"
+        }
         assert any("eigh-clip" in f for f in result.flags)
 
     def test_sabr_run_has_no_factorization(self):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import threading
 
@@ -448,6 +449,79 @@ class TestPooledProducts:
         assert ("product", 1) in calls
         assert pooled.wh.tobytes() == inline.wh.tobytes()
         assert pooled.dW.tobytes() == inline.dW.tobytes()
+
+
+class TestTriangularProducts:
+    """TRMM applies the triangular factors, GEMM the dense eigh-clip one and
+    any binding that fails its check. The two kernels sum in different
+    orders, so batches are held to the serial GEMM oracle at 1e-12 of the
+    path scale; only engine runs against each other are compared bitwise."""
+
+    @staticmethod
+    def _check_against_oracle(batch):
+        dW, wh = _serial_joint_paths(batch.grid, batch.hurst, batch.n_paths, batch.seed)
+        assert dW.tobytes() == batch.dW.tobytes()
+        np.testing.assert_allclose(batch.wh, wh, rtol=1e-12, atol=1e-12 * np.abs(wh).max())
+
+    def test_eigh_clip_takes_gemm_at_any_worker_count(self, monkeypatch):
+        def dense(cond, scale):
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (cond + cond.T))
+            return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)), "eigh-clip", 0.0
+
+        monkeypatch.setattr(gaussian, "_FACTOR_CACHE", {})
+        monkeypatch.setattr(gaussian, "_factor_conditional", dense)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            batch = simulate_joint_paths(SimGrid(0.05, 64), 0.2, 4097, seed=3)
+            assert (batch.factorization, batch.product) == ("eigh-clip", "gemm")
+            self._check_against_oracle(batch)
+            runs.append((batch.dW.tobytes(), batch.wh.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("H", [0.2, 0.5])
+    @pytest.mark.parametrize("n_steps", [512, 1024])
+    def test_trmm_matches_gemm(self, n_steps, H):
+        if gaussian._openblas()[1] is None:
+            pytest.skip("the loaded BLAS has no usable dtrmm")
+        batch = simulate_joint_paths(SimGrid(0.05, n_steps), H, 1100, seed=4)
+        assert batch.product == "trmm"
+        self._check_against_oracle(batch)
+
+    def test_path_i_independent_of_n_paths_and_workers(self, monkeypatch):
+        g = SimGrid(0.05, 1024)
+        runs = {}
+        for workers, n_paths in ((1, 4097), (3, 4097), (3, 1025), (3, 1)):
+            monkeypatch.setattr(gaussian, "_WORKERS", workers)
+            runs[workers, n_paths] = simulate_joint_paths(g, 0.2, n_paths, seed=6)
+        full = runs[1, 4097]
+        self._check_against_oracle(full)
+        for batch in runs.values():
+            assert batch.dW.tobytes() == full.dW[: batch.n_paths].tobytes()
+            assert batch.wh.tobytes() == full.wh[: batch.n_paths].tobytes()
+
+    @pytest.mark.parametrize("fault", ["raises", "transposes"])
+    def test_a_bad_binding_falls_back_to_gemm(self, fault, monkeypatch):
+        real_bind = gaussian._bind_trmm
+
+        def bad_bind(fn):
+            if fn is None:
+                return None
+            real_bind(fn)  # declares the symbol's argument types
+
+            def bad(*args):
+                if fault == "raises":
+                    raise ctypes.ArgumentError("argument 6: wrong type")
+                fn(*args[:3], 111, *args[4:])  # NoTrans: b @ tri, not b @ tri.T
+
+            return real_bind(bad)
+
+        monkeypatch.setattr(gaussian, "_bind_trmm", bad_bind)
+        monkeypatch.setattr(gaussian, "_OPENBLAS", None)
+        assert gaussian._openblas()[1] is None
+        batch = simulate_joint_paths(SimGrid(0.05, 64), 0.2, 4097, seed=8)
+        assert batch.product == "gemm"
+        self._check_against_oracle(batch)
 
 
 class TestOrthogonalIncrements:

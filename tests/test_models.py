@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import _SABR_SERIES_THRESHOLD, _sabr_f, sabr_implied_vol, sabr_local_vol
 from roughvol import gaussian, models
@@ -32,6 +30,7 @@ def _zero_noise_batch(grid: SimGrid, H: float, n_paths: int = 3) -> PathBatch:
         wh=np.zeros(shape),
         factorization="cholesky",
         jitter=0.0,
+        product="gemm",
     )
 
 

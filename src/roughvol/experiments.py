@@ -712,7 +712,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "sabr-curvature": run_sabr_curvature,
         "power-law": run_power_law,
     }[config.experiment]
-    with gaussian._one_blas_thread(gaussian._openblas_threads()):
+    with gaussian._one_blas_thread():
         return runner(config)
 
 

@@ -10,12 +10,13 @@ every maturity with the same step count and Hurst index.
 Normals are drawn in fixed blocks of 4096 paths, one Philox stream per block.
 All blocks of a batch are drawn in one pass straight into the path buffer,
 up to four blocks at a time in parallel by a short-lived thread pool; the
-W^H products then run in place on that buffer, in row pieces of at least
-1024 rows on the same pool at one BLAS thread; a shorter block is padded to
-1024 rows, as OpenBLAS multiplies fewer rows with other kernels and bits.
-Both factors are lower triangular, so they are applied by OpenBLAS's in-place
-dtrmm (bound through ctypes, checked once against GEMM); the dense eigh-clip
-factor, or a BLAS without a usable dtrmm, takes GEMM.
+W^H products then run in place on that buffer, in fixed 1024-row pieces on
+the same pool at one BLAS thread, a short last piece zero-padded to 1024
+rows, so every kernel call multiplies 1024 rows and row i always sits at
+position i mod 1024 of its call. Both factors are lower triangular (eigh-clip
+too, by a QR of its square root), so they are applied in place by OpenBLAS's
+dtrmm (bound through ctypes, checked once against GEMM), or by GEMM where
+numpy's BLAS has no usable dtrmm.
 Every value depends only on (seed, block), never on the number of worker
 threads or on n_paths. A batch may start at any block (``first_block``), so
 a caller can produce a large path set group by group: the rows of a group
@@ -48,7 +49,7 @@ _BLOCK = 4096
 _LEG_JOINT = 0
 _LEG_ORTHOGONAL = 1
 MAX_STEPS = 2048  # largest n_steps: the conditional covariance is factorized densely
-_PIECE = 1024  # fewest rows of a W^H product call (see the module docstring)
+_PIECE = 1024  # rows of every W^H product call (see the module docstring)
 
 
 def _usable_cores() -> int:
@@ -124,9 +125,8 @@ class PathBatch:
     factorization : how the conditional covariance was factored
         ("cholesky", "cholesky+jitter", "eigh-clip" or "degenerate").
     jitter : diagonal jitter applied, 0.0 if none.
-    product : BLAS kernel that applied the factors to the normals: "trmm"
-        (triangular, in place) or "gemm" (dense; the eigh-clip factor, or no
-        usable dtrmm in the loaded BLAS).
+    product : BLAS kernel that applied the triangular factors to the normals:
+        "trmm" (in place) or "gemm" (no usable dtrmm in the loaded BLAS).
     """
 
     grid: SimGrid
@@ -178,7 +178,11 @@ def _autocov_matrix(times: np.ndarray, H: float) -> np.ndarray:
 
 
 def _factor_conditional(cond: np.ndarray, scale: float) -> tuple[np.ndarray, str, float]:
-    """PSD factor L with L @ L.T = cond, tolerating tiny asymmetric noise."""
+    """PSD factor L with L @ L.T = cond, tolerating tiny asymmetric noise.
+
+    Every method returns a C-contiguous lower-triangular L: eigh-clip's square
+    root V sqrt(clipped Lambda) is made triangular by a QR of its transpose.
+    """
     cond = 0.5 * (cond + cond.T)
     if np.max(np.abs(cond)) <= _DEGENERATE_TOL * scale:
         return np.zeros_like(cond), "degenerate", 0.0
@@ -195,7 +199,8 @@ def _factor_conditional(cond: np.ndarray, scale: float) -> tuple[np.ndarray, str
     eigvals, eigvecs = np.linalg.eigh(cond)
     floor = max(1e-13 * eigvals[-1], 0.0)
     eigvals = np.clip(eigvals, floor, None)
-    return eigvecs * np.sqrt(eigvals), "eigh-clip", 0.0
+    r = np.linalg.qr((eigvecs * np.sqrt(eigvals)).T, mode="r")
+    return np.ascontiguousarray(r.T), "eigh-clip", 0.0
 
 
 # Unit-grid factors keyed by (n_steps, H). With t = T u the cross
@@ -214,7 +219,7 @@ def _grid_factors(grid: SimGrid, H: float) -> tuple[np.ndarray, np.ndarray, str,
         A = _cross_with_increments(unit.times, H)
         cov_hh = _autocov_matrix(unit.times, H)
         coef = A / unit.dt
-        with _one_blas_thread(_openblas_threads()):  # bits independent of the BLAS threads
+        with _one_blas_thread():  # bits independent of the BLAS threads
             cond = cov_hh - coef @ A.T
             L, method, jitter = _factor_conditional(cond, float(np.max(np.diag(cov_hh))))
         if len(_FACTOR_CACHE) > 256:
@@ -270,10 +275,6 @@ def _openblas() -> tuple:
     return _OPENBLAS
 
 
-def _openblas_threads() -> list:
-    return _openblas()[0]
-
-
 def _bind_trmm(fn):
     """trmm(tri, b): b <- b @ tri.T in place for lower-triangular tri, by the
     cblas_dtrmm symbol fn (RowMajor, Right, Lower, Trans, NonUnit). None if fn
@@ -301,28 +302,24 @@ def _bind_trmm(fn):
     return trmm if np.max(np.abs(buf - want)) <= 1e-13 * np.max(np.abs(want)) else None
 
 
+def _gemm(tri: np.ndarray, b: np.ndarray) -> None:
+    """b <- b @ tri.T in place by GEMM, numpy buffering the overlap."""
+    np.matmul(b, tri.T, out=b)
+
+
 @contextmanager
-def _one_blas_thread(copies: list):
-    """Hold each OpenBLAS copy at one thread, restoring its count on exit."""
+def _one_blas_thread():
+    """Hold each OpenBLAS copy at one thread, restoring its count on exit;
+    yields the copies held (empty where none was found)."""
+    copies = _openblas()[0]
     counts = [get() for get, _ in copies]
     try:
         for _, set_ in copies:
             set_(1)
-        yield
+        yield copies
     finally:
         for (_, set_), count in zip(copies, counts):
             set_(count)
-
-
-def _row_pieces(n_paths: int) -> list[slice]:
-    """Row ranges tiling [0, n_paths): _PIECE-row pieces inside each block, a
-    shorter tail joined to the piece before it, a shorter block as one piece."""
-    pieces = []
-    for start in range(0, n_paths, _BLOCK):
-        stop = min(start + _BLOCK, n_paths)
-        starts = range(start, max(start, stop - _PIECE) + 1, _PIECE)
-        pieces += [slice(a, b) for a, b in zip(starts, [*starts[1:], stop])]
-    return pieces
 
 
 def _block_normals(seed: int, block: int, leg: int, shape: tuple[int, int]) -> np.ndarray:
@@ -360,14 +357,14 @@ def simulate_joint_paths(
     maturity by self-similarity.
 
     The normals (Z_1, Z) of all paths are drawn first, in one pass, up to four
-    blocks at a time; then, in row pieces on the same pool at one BLAS
-    thread, Z_1 is scaled to dW in place and W^H is written over Z. ``dW``
-    and ``wh`` are read-only views of the two halves of that one buffer.
-    A/dt and a Cholesky L_c are lower triangular, so TRMM overwrites Z with
+    blocks at a time; then, in fixed 1024-row pieces on the same pool at one
+    BLAS thread, Z_1 is scaled to dW in place and W^H is written over Z.
+    ``dW`` and ``wh`` are read-only views of the two halves of that one
+    buffer. A/dt and L_c are lower triangular, so the kernel (dtrmm, or GEMM
+    where the BLAS has none; ``product`` records which) overwrites Z with
     Z L_c' in place and adds dW (A/dt)' from a scratch copy of dW (when
-    degenerate, dW (A/dt)' goes straight over Z). The dense eigh-clip factor,
-    or a BLAS without a usable dtrmm, takes GEMM; ``product`` records which
-    kernel ran. The two sum in different orders: W^H's last bits may differ.
+    degenerate, dW (A/dt)' goes straight over Z). The two kernels sum in
+    different orders: W^H's last bits may differ between them.
 
     Parameters
     ----------
@@ -406,36 +403,27 @@ def simulate_joint_paths(
     buf = _block_normals(seed, first_block, _LEG_JOINT, (n_paths, 2 * n))
     dW, wh = buf[:, :n], buf[:, n:]
     sqrt_dt = math.sqrt(grid.dt)
-    pieces = _row_pieces(n_paths)
-    # coef is lower triangular, and so is L_c unless eigh-clip made it dense
-    trmm = None if method == "eigh-clip" else _openblas()[1]
+    mul = _openblas()[1] or _gemm  # b <- b tri' in place
 
     def product(i: int) -> None:
-        rows = pieces[i]
+        rows = slice(i * _PIECE, min((i + 1) * _PIECE, n_paths))
         m = rows.stop - rows.start
         np.multiply(dW[rows], sqrt_dt, out=dW[rows])
-        piece = buf[rows] if m >= _PIECE else np.pad(buf[rows], ((0, _PIECE - m), (0, 0)))
+        piece = buf[rows] if m == _PIECE else np.pad(buf[rows], ((0, _PIECE - m), (0, 0)))
         dw_p, wh_p = piece[:, :n], piece[:, n:]
-        if trmm is None:
-            # read Z before W^H is written over it; L_c is all zeros when degenerate
-            noise = None if method == "degenerate" else wh_p @ L.T
-            np.matmul(dw_p, coef.T, out=wh_p)
-            if noise is not None:
-                np.add(wh_p, noise, out=wh_p)
-        elif method == "degenerate":
+        if method == "degenerate":
             np.copyto(wh_p, dw_p)
-            trmm(coef, wh_p)
+            mul(coef, wh_p)
         else:
-            trmm(L, wh_p)  # Z L_c' over Z
+            mul(L, wh_p)  # Z L_c' over Z
             drift = dw_p.copy()
-            trmm(coef, drift)
+            mul(coef, drift)
             np.add(wh_p, drift, out=wh_p)
         if m < _PIECE:
             wh[rows] = wh_p[:m]
 
-    copies = _openblas_threads() if min(_WORKERS, len(pieces)) > 1 else []
-    with _one_blas_thread(copies):
-        _fan_out(product, len(pieces), _WORKERS if copies else 1)
+    with _one_blas_thread() as copies:
+        _fan_out(product, -(-n_paths // _PIECE), _WORKERS if copies else 1)
 
     dW.flags.writeable = False
     wh.flags.writeable = False
@@ -448,7 +436,7 @@ def simulate_joint_paths(
         wh=wh,
         factorization=method,
         jitter=jitter,
-        product="gemm" if trmm is None else "trmm",
+        product="gemm" if mul is _gemm else "trmm",
         first_block=first_block,
     )
 

@@ -464,7 +464,7 @@ class TestFactorization:
         monkeypatch.setattr(gaussian, "_factor_conditional", clipped)
         result = run_power_law(tiny_config("power-law"))
         assert result.meta_dict()["factorization"] == {
-            "method": "eigh-clip", "jitter": 0.0, "product": "gemm"
+            "method": "eigh-clip", "jitter": 0.0, "product": TRIANGULAR
         }
         assert any("eigh-clip" in f for f in result.flags)
 

@@ -18,6 +18,9 @@ from roughvol.gaussian import (
     volterra_cross_covariance,
 )
 
+# kernel of the triangular products: TRMM where the loaded OpenBLAS binds it
+TRIANGULAR = "trmm" if gaussian._openblas()[1] else "gemm"
+
 
 class TestSimGrid:
     def test_uniform_grid_ends_at_maturity(self):
@@ -391,19 +394,32 @@ class TestPooledProducts:
             runs.append((batch.dW.tobytes(), batch.wh.tobytes()))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("n_paths", [1, 1023, 1024, 2047, 4096, 4097, 5121, 3 * 4096 + 1027])
-    def test_row_pieces_tile_the_blocks(self, n_paths):
-        pieces = gaussian._row_pieces(n_paths)
-        assert pieces[0].start == 0 and pieces[-1].stop == n_paths
-        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
-        for piece in pieces:
-            block = piece.start // gaussian._BLOCK
-            block_rows = min(gaussian._BLOCK, n_paths - block * gaussian._BLOCK)
-            assert (piece.stop - 1) // gaussian._BLOCK == block
-            assert piece.stop - piece.start >= min(gaussian._PIECE, block_rows)
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_paths", [1, 1023, 1025, 2047, 4097, 5121, 3 * 4096 + 1027])
+    def test_every_kernel_call_multiplies_one_piece(self, n_paths, workers, monkeypatch):
+        copies, trmm = gaussian._openblas()
+        shapes = []
+
+        def recording(tri, b):
+            shapes.append(b.shape)
+            if trmm:
+                trmm(tri, b)
+            else:
+                np.matmul(b, tri.T, out=b)
+
+        monkeypatch.setattr(gaussian, "_WORKERS", workers)
+        monkeypatch.setattr(gaussian, "_OPENBLAS", (copies, recording))
+        n = 16
+        batch = simulate_joint_paths(SimGrid(0.05, n), 0.2, n_paths, seed=3)
+        assert batch.product == "trmm"  # the recording kernel stands in for dtrmm
+        # two calls per piece (L_c, then A/dt), every one of exactly _PIECE rows
+        assert shapes == [(gaussian._PIECE, n)] * (2 * -(-n_paths // gaussian._PIECE))
+        dW, wh = _serial_joint_paths(batch.grid, 0.2, n_paths, 3)
+        assert dW.tobytes() == batch.dW.tobytes()
+        np.testing.assert_allclose(batch.wh, wh, rtol=1e-12, atol=1e-12 * np.abs(wh).max())
 
     def _thread_counts(self):
-        return [get() for get, _ in gaussian._openblas_threads()]
+        return [get() for get, _ in gaussian._openblas()[0]]
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_one_blas_thread_per_job_then_restored(self, fail, monkeypatch):
@@ -430,7 +446,7 @@ class TestPooledProducts:
                 simulate_joint_paths(grid, 0.2, 2 * 4096, seed=3)
         else:
             simulate_joint_paths(grid, 0.2, 2 * 4096, seed=3)
-            assert len(seen) == len(gaussian._row_pieces(2 * 4096))
+            assert len(seen) == -(-2 * 4096 // gaussian._PIECE)
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert self._thread_counts() == before
 
@@ -444,7 +460,7 @@ class TestPooledProducts:
             original(job, n_jobs, workers)
 
         monkeypatch.setattr(gaussian, "_fan_out", recording)
-        monkeypatch.setattr(gaussian, "_openblas_threads", lambda: [])
+        monkeypatch.setattr(gaussian, "_OPENBLAS", ([], gaussian._openblas()[1]))
         inline = simulate_joint_paths(g, 0.2, 2 * 4096 + 5, seed=3)
         assert ("product", 1) in calls
         assert pooled.wh.tobytes() == inline.wh.tobytes()
@@ -452,10 +468,10 @@ class TestPooledProducts:
 
 
 class TestTriangularProducts:
-    """TRMM applies the triangular factors, GEMM the dense eigh-clip one and
-    any binding that fails its check. The two kernels sum in different
-    orders, so batches are held to the serial GEMM oracle at 1e-12 of the
-    path scale; only engine runs against each other are compared bitwise."""
+    """TRMM applies the triangular factors of every method, GEMM them where a
+    binding fails its check. The two kernels sum in different orders, so
+    batches are held to the serial GEMM oracle at 1e-12 of the path scale;
+    only engine runs against each other are compared bitwise."""
 
     @staticmethod
     def _check_against_oracle(batch):
@@ -463,18 +479,30 @@ class TestTriangularProducts:
         assert dW.tobytes() == batch.dW.tobytes()
         np.testing.assert_allclose(batch.wh, wh, rtol=1e-12, atol=1e-12 * np.abs(wh).max())
 
-    def test_eigh_clip_takes_gemm_at_any_worker_count(self, monkeypatch):
-        def dense(cond, scale):
-            eigvals, eigvecs = np.linalg.eigh(0.5 * (cond + cond.T))
-            return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)), "eigh-clip", 0.0
+    def test_eigh_clip_factor_is_lower_triangular(self):
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        lam = np.array([-0.5, -1e-3, *np.geomspace(1e-6, 2.0, 10)])
+        cond = (q * lam) @ q.T  # symmetric, indefinite
+        L, method, jitter = gaussian._factor_conditional(cond, 1.0)
+        assert (method, jitter) == ("eigh-clip", 0.0)
+        assert L.flags.c_contiguous
+        assert np.array_equal(L, np.tril(L))
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (cond + cond.T))
+        clipped = (eigvecs * np.clip(eigvals, 1e-13 * eigvals[-1], None)) @ eigvecs.T
+        assert np.max(np.abs(L @ L.T - clipped)) <= 1e-12 * np.max(np.abs(clipped))
+
+    def test_eigh_clip_runs_the_triangular_path_at_any_worker_count(self, monkeypatch):
+        def no_cholesky(a):
+            raise np.linalg.LinAlgError("forced")
 
         monkeypatch.setattr(gaussian, "_FACTOR_CACHE", {})
-        monkeypatch.setattr(gaussian, "_factor_conditional", dense)
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         runs = []
         for workers in (1, 3):
             monkeypatch.setattr(gaussian, "_WORKERS", workers)
             batch = simulate_joint_paths(SimGrid(0.05, 64), 0.2, 4097, seed=3)
-            assert (batch.factorization, batch.product) == ("eigh-clip", "gemm")
+            assert (batch.factorization, batch.product) == ("eigh-clip", TRIANGULAR)
             self._check_against_oracle(batch)
             runs.append((batch.dW.tobytes(), batch.wh.tobytes()))
         assert runs[0] == runs[1]

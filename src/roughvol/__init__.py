@@ -28,7 +28,6 @@ from roughvol.experiments import (
 from roughvol.gaussian import (
     PathBatch,
     SimGrid,
-    orthogonal_increments,
     simulate_joint_paths,
     volterra_cross_covariance,
 )
@@ -57,7 +56,6 @@ from roughvol.pricing import (
     implied_skew_digital,
     implied_skew_fd,
     implied_vol,
-    log_euler_terminal,
     mixing_call_price,
     mixing_put_price,
     mixing_smile_slice,

@@ -76,7 +76,7 @@ def weighted_level_fit(
     ts: Sequence[float],
     values: Sequence[float],
     ses: Sequence[float],
-    powers: Sequence[float] = (1.0,),
+    powers: Sequence[float],
 ) -> tuple[float, float]:
     """Weighted LS intercept of values ~ 1 + sum_j T^powers_j, weights 1/se^2.
 

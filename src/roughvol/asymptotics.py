@@ -233,22 +233,21 @@ def sabr_curvature_gap(p: SabrParams) -> float:
 
 
 # The power laws are short-end statements and the largest maturities leave
-# the asymptotic regime, so fits keep T <= 0.25 unless told otherwise.
+# the asymptotic regime, so fits keep T <= 0.25.
 FIT_WINDOW: Tuple[float, float] = (0.0, 0.25)
 
 
-def fit_power_law(series: TermSeries, window: Tuple[float, float] = FIT_WINDOW) -> PowerLawFit:
-    """Fit value ~ exp(intercept) * T^exponent on a maturity window.
+def fit_power_law(series: TermSeries) -> PowerLawFit:
+    """Fit value ~ exp(intercept) * T^exponent on the window ``FIT_WINDOW``.
 
     Plain least squares on (log T, log |value|) over the finite points in the
     window (a failed maturity is NaN, not a sign change), up to the first one
-    that is zero or of the other sign than the first; the upper end of
-    ``window`` then moves halfway to it. Fewer than 4 points in the window
-    raise ValueError, fewer than 4 before the cut ArithmeticError.
+    that is zero or of the other sign than the first; the upper end of the
+    window then moves halfway to it, as ``PowerLawFit.window`` records. Fewer
+    than 4 points in the window raise ValueError, fewer than 4 before the cut
+    ArithmeticError.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (lo < hi):
-        raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
+    lo, hi = FIT_WINDOW
     mask = np.isfinite(series.values) & (series.maturities >= lo) & (series.maturities <= hi)
     ts, vals = series.maturities[mask], series.values[mask]
     if ts.size < 4:

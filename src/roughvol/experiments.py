@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__, gaussian
-from ._stats import delta_method
+from ._stats import delta_method, mean_and_se
 from .asymptotics import (
     FIT_WINDOW, PowerLawFit, TermSeries, fit_power_law, local_curv_from_implied,
     sabr_curvature_gap, skew_ratio_limit,
@@ -60,7 +60,6 @@ from .pricing import (
     implied_skew_digital,
     implied_skew_fd,
     implied_vol,
-    log_euler_terminal,
     mixing_call_price,
     mixing_put_price,
     mixing_smile_slice,
@@ -672,7 +671,7 @@ def run_power_law(config: ExperimentConfig) -> ExperimentResult:
     for name, label in (("curv_iv", "implied ATM curvature"), ("curv_lv", "local ATM curvature")):
         series = TermSeries(cols["T"], cols[name], cols["se_" + name], label)
         try:
-            fits[name] = fit_power_law(series, FIT_WINDOW)
+            fits[name] = fit_power_law(series)
         except (ValueError, ArithmeticError) as exc:
             flags.append(f"{name}: no power-law fit: {exc}")
             continue
@@ -826,13 +825,14 @@ def _martingale_parity_check(seed: int, n_paths: int, n_steps: int) -> SelftestC
     p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=1.1, rho=-0.6, hurst=0.2)
     t = 0.25
     batch = simulate_joint_paths(SimGrid(t, n_steps), p.hurst, n_paths, seed)
-    sig = bergomi_sigma_path(batch, p)
-    s_t = log_euler_terminal(sig, batch, p)
-    mart_z = abs(s_t.mean() - p.s0) / (s_t.std(ddof=1) / math.sqrt(n_paths))
+    # the V and M the runners read: s_eff is an exact discrete martingale only
+    # while both integrals take sigma at the left point of each cell
+    sig = bergomi_sigma_path(batch, p, terminal=True)
+    s_eff_mean, s_eff_se = mean_and_se(ConditionalLaw(sig, p, t).s_eff)
+    mart_z = abs(s_eff_mean - p.s0) / s_eff_se
     k = 0.9 * p.s0
     call, _ = mixing_call_price(sig, p, t, k)
     put, _ = mixing_put_price(sig, p, t, k)
-    s_eff_mean = ConditionalLaw(sig, p, t).s_eff.mean()
     parity_err = abs((call - put) - (s_eff_mean - k)) / p.s0
     ok = mart_z < 3.0 and parity_err < 1e-12
     return SelftestCheck(

@@ -40,14 +40,12 @@ __all__ = [
     "PathBatch",
     "volterra_cross_covariance",
     "simulate_joint_paths",
-    "orthogonal_increments",
 ]
 
 # Paths are generated in fixed-size blocks keyed by (seed, block, leg) so that
 # path i is bit-reproducible regardless of how many paths are requested.
 _BLOCK = 4096
 _LEG_JOINT = 0
-_LEG_ORTHOGONAL = 1
 MAX_STEPS = 2048  # largest n_steps: the conditional covariance is factorized densely
 _PIECE = 1024  # rows of every W^H product call (see the module docstring)
 
@@ -440,20 +438,3 @@ def simulate_joint_paths(
         first_block=first_block,
     )
 
-
-def orthogonal_increments(
-    grid: SimGrid, n_paths: int, seed: int, first_block: int = 0
-) -> np.ndarray:
-    """Increments of a Brownian motion independent of simulate_joint_paths.
-
-    Same block engine, separate stream leg under the same seed; used for the
-    leg orthogonal to the vol-driving noise (log-Euler cross checks only,
-    the mixing estimators condition it out analytically). Row i belongs to
-    path first_block * 4096 + i, as in simulate_joint_paths.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = _block_normals(seed, first_block, _LEG_ORTHOGONAL, (n_paths, grid.n_steps))
-    np.multiply(out, math.sqrt(grid.dt), out=out)
-    out.flags.writeable = False
-    return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,7 +138,7 @@ def dupire_local_vol_fd(
     prices: np.ndarray,
     ts: Sequence[float],
     ks: Sequence[float],
-    price_cov: Optional[np.ndarray] = None,
+    price_cov: np.ndarray,
 ) -> tuple[float, float]:
     """Local vol at the center of a 3x3 call-price grid via Dupire's formula.
 
@@ -151,11 +151,11 @@ def dupire_local_vol_fd(
         prices: 3x3 call prices.
         ts: Three increasing, uniformly spaced maturities.
         ks: Three increasing, uniformly spaced strikes.
-        price_cov: Optional 9x9 covariance of the price estimates in
-            row-major order; propagated linearly to the vol.
+        price_cov: 9x9 covariance of the price estimates in row-major
+            order; propagated linearly to the vol.
 
     Returns:
-        (local vol, standard error); the error is NaN without a covariance.
+        (local vol, standard error).
 
     Raises:
         ValueError: on non-uniform grids, a butterfly violation
@@ -182,8 +182,6 @@ def dupire_local_vol_fd(
     if a <= 0:
         raise ValueError("calendar violation: prices not increasing in maturity")
     vol = math.sqrt(2.0 * a / (k * k * b))
-    if price_cov is None:
-        return vol, float("nan")
     cov = np.asarray(price_cov, dtype=float)
     if cov.shape != (9, 9):
         raise ValueError("price_cov must be 9x9 in row-major node order")

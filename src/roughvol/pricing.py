@@ -7,8 +7,9 @@ a per-path effective spot and residual volatility. That removes the Euler
 discretisation of the price and cuts the Monte Carlo variance, especially for
 digitals and densities. ``ConditionalLaw`` holds that law at one maturity and
 is the one feature layer under every mixing estimator, here and in
-``local_vol``. A plain log-Euler scheme is kept only as an independent
-cross-check oracle.
+``local_vol``. Nothing here draws the Brownian leg orthogonal to the
+volatility driver: the log-Euler scheme that prices the same paths by
+stepping the spot is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._stats import delta_method, mean_and_se
-from .gaussian import PathBatch, orthogonal_increments
 from .models import RoughBergomiParams, SigmaPath, grid_step_index
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "implied_skew_digital",
     "implied_skew_fd",
     "implied_curvature_fd",
-    "log_euler_terminal",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -457,32 +456,3 @@ def implied_curvature_fd(sl: SmileSlice) -> tuple[float, float]:
     """Central-difference smile curvature in log-strike; see implied_skew_fd."""
     return _fd_read(sl, 2)
 
-
-# ---------------------------------------------------------------------------
-# Log-Euler cross-check oracle
-# ---------------------------------------------------------------------------
-
-
-def log_euler_terminal(
-    sig: SigmaPath, batch: PathBatch, p: RoughBergomiParams
-) -> np.ndarray:
-    """Terminal spot from a left-point log-Euler scheme on the same paths.
-
-    Draws the orthogonal Brownian leg deterministically from the batch seed
-    and first block, so repeated calls reuse identical noise and each row
-    gets the leg of its own path. Kept as an independent check on
-    the conditional estimators, not for production use.
-    """
-    if sig.grid is not batch.grid and (
-        sig.grid.maturity != batch.grid.maturity or sig.grid.n_steps != batch.grid.n_steps
-    ):
-        raise ValueError("sigma path and batch must share one grid")
-    if sig.n_paths != batch.n_paths:
-        raise ValueError("sigma path and batch must have the same path count")
-    db = orthogonal_increments(batch.grid, batch.n_paths, batch.seed, batch.first_block)
-    left = np.empty_like(sig.sigma)
-    left[:, 0] = p.sigma0
-    left[:, 1:] = sig.sigma[:, :-1]
-    rho_bar = math.sqrt(1.0 - p.rho**2)
-    log_increments = left * (p.rho * batch.dW + rho_bar * db) - 0.5 * left**2 * batch.grid.dt
-    return p.s0 * np.exp(log_increments.sum(axis=1))

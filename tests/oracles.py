@@ -4,19 +4,24 @@ Each one computes a quantity the library also computes, by a different
 route: the Volterra autocovariance by adaptive quadrature instead of the
 hypergeometric closed form, the rough Bergomi curvature limit by quadrature
 of its kernel integrals instead of their Beta-function reductions, the
-digital as a plain mean of the conditional column, the call from the
-log-Euler terminal spot instead of the mixing representation, and the
-lognormal SABR smiles (local-vol equivalent and Hagan implied vol) whose
-ATM curvatures ``models.sabr_atm_curvatures`` gives in closed form.
+digital as a plain mean of the conditional column, the terminal spot and
+the call by a log-Euler scheme on a second, orthogonal Brownian leg instead
+of the mixing representation, and the lognormal SABR smiles (local-vol
+equivalent and Hagan implied vol) whose ATM curvatures
+``models.sabr_atm_curvatures`` gives in closed form.
 """
 
 import math
 
 import numpy as np
 
+from roughvol import gaussian
 from roughvol._stats import mean_and_se
 from roughvol.models import RoughBergomiParams, SabrParams, _sabr_m
-from roughvol.pricing import ConditionalLaw, log_euler_terminal
+from roughvol.pricing import ConditionalLaw
+
+# Stream leg of the orthogonal Brownian motion; leg 0 is the joint (W, W^H) draw.
+_LEG_ORTHOGONAL = 1
 
 # |z| below this uses the Taylor series of z/x(z); above, the exact formula.
 _SABR_SERIES_THRESHOLD = 1e-4
@@ -178,3 +183,40 @@ def log_euler_call_price(sig, batch, p, k: float) -> tuple[float, float]:
         raise ValueError(f"strike must be positive and finite, got {k!r}")
     s_t = log_euler_terminal(sig, batch, p)
     return mean_and_se(np.maximum(s_t - k, 0.0))
+
+
+def orthogonal_increments(grid, n_paths: int, seed: int, first_block: int = 0) -> np.ndarray:
+    """Increments of a Brownian motion independent of simulate_joint_paths.
+
+    Same block engine, separate stream leg under the same seed: row i belongs
+    to path first_block * 4096 + i, as in simulate_joint_paths.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    out = gaussian._block_normals(seed, first_block, _LEG_ORTHOGONAL, (n_paths, grid.n_steps))
+    np.multiply(out, math.sqrt(grid.dt), out=out)
+    out.flags.writeable = False
+    return out
+
+
+def log_euler_terminal(sig, batch, p: RoughBergomiParams) -> np.ndarray:
+    """Terminal spot from a left-point log-Euler scheme on the same paths.
+
+    Reads sigma and dW path by path, not the integrals V and M of ``sig``,
+    and draws the orthogonal leg from the batch seed and first block, so
+    repeated calls reuse identical noise and each row gets the leg of its
+    own path.
+    """
+    if sig.grid is not batch.grid and (
+        sig.grid.maturity != batch.grid.maturity or sig.grid.n_steps != batch.grid.n_steps
+    ):
+        raise ValueError("sigma path and batch must share one grid")
+    if sig.n_paths != batch.n_paths:
+        raise ValueError("sigma path and batch must have the same path count")
+    db = orthogonal_increments(batch.grid, batch.n_paths, batch.seed, batch.first_block)
+    left = np.empty_like(sig.sigma)
+    left[:, 0] = p.sigma0
+    left[:, 1:] = sig.sigma[:, :-1]
+    rho_bar = math.sqrt(1.0 - p.rho**2)
+    log_increments = left * (p.rho * batch.dW + rho_bar * db) - 0.5 * left**2 * batch.grid.dt
+    return p.s0 * np.exp(log_increments.sum(axis=1))

@@ -235,7 +235,7 @@ class TestPowerLaws:
             skew_h02.table["se_iv"],
             "implied ATM skew",
         )
-        skew_fit = fit_power_law(skew_series, (0.0, 0.25))
+        skew_fit = fit_power_law(skew_series)
         iv_fit = power_h02.fits["curv_iv"]
         lv_fit = power_h02.fits["curv_lv"]
         diff = abs(iv_fit.exponent - lv_fit.exponent)

@@ -24,7 +24,7 @@ from roughvol.experiments import (
     write_outputs,
 )
 from roughvol.gaussian import SimGrid, simulate_joint_paths
-from roughvol.models import bergomi_sigma_path
+from roughvol.models import SigmaPath, bergomi_sigma_path
 from roughvol.pricing import ConditionalLaw, ImpliedVolBoundsError, implied_skew_digital
 
 TINY = {"n_paths": 1500, "n_steps": 8}
@@ -655,6 +655,22 @@ class TestSelftest:
         )
         check = experiments._martingale_parity_check(1, 4000, 16)
         assert not check.passed, check.detail
+
+    def test_martingale_check_catches_right_point_integrals(self, monkeypatch):
+        # sigma at the right end of each cell depends on that cell's dW, so
+        # s_eff from these V and M is no martingale; parity still holds
+        def right_point(batch, p, terminal=False):
+            sig = bergomi_sigma_path(batch, p)
+            v = np.cumsum(sig.sigma**2 * batch.grid.dt, axis=1)
+            m = np.cumsum(sig.sigma * batch.dW, axis=1)
+            return SigmaPath(batch.grid, sig.sigma, v, m)
+
+        monkeypatch.setattr(experiments, "bergomi_sigma_path", right_point)
+        check = experiments._martingale_parity_check(1, 4000, 16)
+        assert not check.passed, check.detail
+        martingale, parity = check.detail.split(", ")
+        assert float(martingale.split("= ")[1]) >= 3.0
+        assert float(parity.split()[-1]) < 1e-12
 
     def test_all_checks_pass_small(self):
         checks = run_selftest(n_paths=4000, n_steps=32)

@@ -8,15 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import volterra_autocovariance_quad
+from oracles import orthogonal_increments, volterra_autocovariance_quad
 from roughvol import gaussian
 from roughvol.experiments import _INT_RANGES
-from roughvol.gaussian import (
-    SimGrid,
-    orthogonal_increments,
-    simulate_joint_paths,
-    volterra_cross_covariance,
-)
+from roughvol.gaussian import SimGrid, simulate_joint_paths, volterra_cross_covariance
 
 # kernel of the triangular products: TRMM where the loaded OpenBLAS binds it
 TRIANGULAR = "trmm" if gaussian._openblas()[1] else "gemm"

@@ -1,7 +1,6 @@
 """Local volatility tests: density weights, analytic skew, Dupire oracle."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -182,9 +181,9 @@ class TestDupire:
         ts = np.array([0.245, 0.25, 0.255])
         ks = np.array([99.0, 100.0, 101.0])
         prices = np.array([[bs_price(100.0, k, t, 0.3) for k in ks] for t in ts])
-        vol, se = dupire_local_vol_fd(prices, ts, ks)
+        vol, se = dupire_local_vol_fd(prices, ts, ks, np.zeros((9, 9)))
         assert vol == pytest.approx(0.3, rel=1e-3)
-        assert math.isnan(se)
+        assert se == 0.0
 
     def test_nu_zero_grid_is_exact_flat(self):
         p = RoughBergomiParams(s0=100.0, sigma0=0.3, nu=0.0, rho=-0.6, hurst=0.2)
@@ -202,7 +201,7 @@ class TestDupire:
         prices = np.array([[bs_price(100.0, k, t, 0.3) for k in ks] for t in ts])
         prices[1, 1] = 0.5 * (prices[1, 0] + prices[1, 2]) + 1e-6
         with pytest.raises(ValueError, match="butterfly"):
-            dupire_local_vol_fd(prices, ts, ks)
+            dupire_local_vol_fd(prices, ts, ks, np.zeros((9, 9)))
 
     def test_calendar_violation_rejected(self):
         ts = np.array([0.24, 0.25, 0.26])
@@ -210,14 +209,14 @@ class TestDupire:
         prices = np.array([[bs_price(100.0, k, t, 0.3) for k in ks] for t in ts])
         prices[2, 1], prices[0, 1] = prices[0, 1], prices[2, 1]
         with pytest.raises(ValueError, match="calendar"):
-            dupire_local_vol_fd(prices, ts, ks)
+            dupire_local_vol_fd(prices, ts, ks, np.zeros((9, 9)))
 
     def test_nonuniform_grids_rejected(self):
         prices = np.full((3, 3), 1.0)
         with pytest.raises(ValueError, match="uniform"):
-            dupire_local_vol_fd(prices, [0.1, 0.2, 0.4], [95.0, 100.0, 105.0])
+            dupire_local_vol_fd(prices, [0.1, 0.2, 0.4], [95.0, 100.0, 105.0], np.zeros((9, 9)))
         with pytest.raises(ValueError, match="uniform"):
-            dupire_local_vol_fd(prices, [0.1, 0.2, 0.3], [90.0, 100.0, 105.0])
+            dupire_local_vol_fd(prices, [0.1, 0.2, 0.3], [90.0, 100.0, 105.0], np.zeros((9, 9)))
 
     def test_grid_step_index(self):
         sig = _simulated(BERGOMI, t=0.32, steps=256, paths=50, seed=1)

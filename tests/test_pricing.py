@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from oracles import log_euler_call_price, mc_digital, sabr_implied_vol
+from oracles import log_euler_call_price, log_euler_terminal, mc_digital, sabr_implied_vol
 from roughvol._stats import delta_method, mean_and_se, weighted_level_fit
 from roughvol.gaussian import SimGrid, simulate_joint_paths
 from roughvol.models import RoughBergomiParams, SabrParams, _sabr_m, bergomi_sigma_path
@@ -21,7 +21,6 @@ from roughvol.pricing import (
     implied_skew_digital,
     implied_skew_fd,
     implied_vol,
-    log_euler_terminal,
     mixing_call_price,
     mixing_put_price,
     mixing_smile_slice,
@@ -158,7 +157,7 @@ class TestStats:
         with pytest.raises(ValueError):
             weighted_level_fit([1.0, 2.0], [1.0, 2.0], [0.1, 0.1], powers=(1.0,))
         with pytest.raises(ValueError):
-            weighted_level_fit([1, 2, 3, 4], [1, 2, 3, 4], [0.1, 0.0, 0.1, 0.1])
+            weighted_level_fit([1, 2, 3, 4], [1, 2, 3, 4], [0.1, 0.0, 0.1, 0.1], powers=(1.0,))
 
 
 # ---------------------------------------------------------------------------

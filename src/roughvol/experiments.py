@@ -95,10 +95,11 @@ _DEFAULT_LADDER: Dict[str, Dict[str, float]] = {
     "sabr-curvature": dict(min=0.001, max=1.0, count=24),
 }
 # Paths of one maturity are produced in groups of this many 4096-path blocks.
-# One 65536 x 256 maturity on 2 cores, median wall and peak RSS of 3 runs:
-# 2 blocks 1.01 s, 121 MB (each group's draws wait on the previous group's
-# W^H products); 4 blocks 0.94 s, 154 MB (the 67 MB (dW, W^H) buffer is the
-# largest array); 8 blocks 0.94 s, 221 MB. As one batch: 1.01 s, 356 MB.
+# One 65536 x 256 maturity on 2 cores at 2ce84e4, median wall and peak RSS of
+# 5 runs: 2 blocks 0.71 s, 120 MB; 4 blocks 0.65 s, 154 MB (the 67 MB
+# (dW, W^H) buffer is the largest array); 8 blocks 0.71 s, 221 MB; as one
+# batch 0.64 s, 355 MB. The walls differ by less than their run-to-run
+# spread (0.62 to 0.79 s at 4 blocks); memory grows with the group.
 _GROUP_BLOCKS = 4
 # Accepted ranges of the integer settings, shared with the selftest flags.
 _INT_RANGES: Dict[str, Tuple[int, int]] = {
